@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from mstop.finite import solve_ladder, x_star_single
+from mstop.finite import solve_ladder
 from mstop.infinite import solve_infinite, x_hat_infinite
 from mstop.mc import PolicySpec, policy_dominance_scan, simulate_policy
 from mstop.model import GbmModel, derive_exponents, require_valid
@@ -152,13 +152,17 @@ def _model_dict(model: GbmModel) -> dict:
 # -- commands -----------------------------------------------------------------
 
 
+def _check_x0(x0: float) -> None:
+    if not (math.isfinite(x0) and x0 > 0.0):
+        raise ValueError(f"--x0 must be positive and finite, got {x0}")
+
+
 def cmd_solve(args: argparse.Namespace, config: dict[str, str]) -> int:
     model = _build_model(args, config)
     require_valid(model, require_positive_net_drift=True)
     if args.rights < 1:
         raise ValueError(f"--rights must be >= 1, got {args.rights}")
-    if args.x0 <= 0.0:
-        raise ValueError(f"--x0 must be positive, got {args.x0}")
+    _check_x0(args.x0)
 
     exps = derive_exponents(model)
     ladder = solve_ladder(model, args.rights)
@@ -268,6 +272,7 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
     require_valid(model, require_positive_net_drift=True)
     if args.paths < 1000:
         raise ValueError(f"--paths must be >= 1000, got {args.paths}")
+    _check_x0(args.x0)
     ladder = solve_ladder(model, args.rights)
     analytic = ladder.values[-1](args.x0)
     policy = PolicySpec(thresholds=ladder.thresholds, x0=args.x0)

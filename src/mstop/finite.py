@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,8 @@ from mstop.powerfn import (
     PowerTerm,
     call_payoff,
     combine,
-    definite_integral,
-    from_maps,
-    ratio_derivative,
+    power_log_integral,
+    ratio_coefs,
     resolvent_apply,
 )
 
@@ -96,17 +96,19 @@ def delta(model: GbmModel, h_prev: PiecewisePowerSum, x_star_prev: float) -> flo
     so the integrand decays like y^{-kappa - b} = y^{-beta} with beta > 1.
     """
     exps = derive_exponents(model)
-    integrand = ratio_derivative(h_prev, exps.b)
-    maps = integrand.term_maps()
-    lows = [0.0, *integrand.breakpoints]
-    highs = [*integrand.breakpoints, math.inf]
+    b, beta, kappa = exps.b, exps.beta, exps.kappa
+    bps = h_prev.breakpoints
     total = 0.0
-    for j, terms in enumerate(maps):
-        lo, hi = max(lows[j], x_star_prev), highs[j]
-        if hi != math.inf and hi <= x_star_prev:
+    for poly, lo, hi in zip(h_prev.polys, (0.0, *bps), (*bps, math.inf)):
+        if hi <= x_star_prev:
             continue
-        shifted = {(p - exps.kappa, k): c for (p, k), c in terms.items()}
-        total += definite_integral(shifted, lo, hi)
+        lo = max(lo, x_star_prev)
+        for q, cs in poly.items():
+            # y^-kappa d/dy [y^(q-b) C(ln y)] = y^(s-1) [(q-b) C + C'](ln y)
+            # with s = q - b - kappa = q - beta, which is exactly 0 for the
+            # resonant key beta (kappa comes from an identity, not beta - b).
+            s = 0.0 if q == beta else (q - b) - kappa
+            total += power_log_integral(s, ratio_coefs(q - b, cs), lo, hi)
     value = total * exps.kappa * exps.gamma / (exps.kappa + exps.gamma)
     if value >= 0.0 and abs(value) > 0.0:
         raise ArithmeticError(f"Delta must be negative, got {value}")
@@ -171,9 +173,10 @@ def solve_ladder(model: GbmModel, n: int) -> ThresholdLadder:
         h_i = continuation_value(model, values[-1])
         x_i = solve_threshold(model, d)
         c_i = h_i(x_i) / x_i**b
-        below = PiecewisePowerSum((x_i,), ((PowerTerm(c_i, b),), ()))
         above = _truncate_below(h_i, x_i)
-        v_i = combine(below, above)
+        v_i = PiecewisePowerSum.from_polys(
+            above.breakpoints, ({b: [c_i]}, *above.polys[1:])
+        )
         thresholds.append(x_i)
         c_stars.append(c_i)
         values.append(v_i)
@@ -195,16 +198,8 @@ def solve_ladder(model: GbmModel, n: int) -> ThresholdLadder:
 
 def _truncate_below(f: PiecewisePowerSum, cut: float) -> PiecewisePowerSum:
     """f on (cut, inf), zero on (0, cut]; cut becomes the first breakpoint."""
-    maps = f.term_maps()
-    bps = [cut] + [x for x in f.breakpoints if x > cut]
-    pieces: list[dict] = [{}]
-    lows = [0.0, *f.breakpoints]
-    highs = [*f.breakpoints, math.inf]
-    for j in range(len(maps)):
-        if highs[j] != math.inf and highs[j] <= cut:
-            continue
-        pieces.append(maps[j])
-    return from_maps(bps, pieces)
+    j = bisect_right(f.breakpoints, cut)
+    return PiecewisePowerSum.from_polys((cut, *f.breakpoints[j:]), ({}, *f.polys[j:]))
 
 
 def _assert_invariants(ladder: ThresholdLadder, x_hat: float) -> None:

@@ -132,24 +132,17 @@ def solve_infinite(model: GbmModel) -> InfiniteSolution:
     v_inf = resolvent_apply(density, model.r, model)
 
     c1, c2, c3, c4 = _closed_form_coeffs(model, exps, x_hat)
-    expected = {
-        0: {(exps.b, 0): c4},
-        1: {(1.0, 0): c1, (0.0, 0): c2, (exps.a, 0): c3},
-    }
-    for j, exp_terms in expected.items():
-        got = v_inf.term_maps()[j]
-        for key, want in exp_terms.items():
-            have = None
-            for (p, k), c in got.items():
-                if k == key[1] and abs(p - key[0]) < 1e-9:
-                    have = c
-                    break
-            if have is None or abs(have - want) > COEFF_RECONCILE_TOL * max(
-                1.0, abs(want)
-            ):
+    expected = ({exps.b: c4}, {1.0: c1, 0.0: c2, exps.a: c3})
+    for j, want_terms in enumerate(expected):
+        poly = v_inf.polys[j]
+        for p, want in want_terms.items():
+            # The resolvent keys its output by the exact input exponents and
+            # roots; a missing key is a term dropped as negligible, i.e. 0.
+            have = poly.get(p, [0.0])[0]
+            if abs(have - want) > COEFF_RECONCILE_TOL * max(1.0, abs(want)):
                 raise ArithmeticError(
                     f"algebraic resolvent disagrees with closed form on piece "
-                    f"{j}, exponent {key[0]}: {have} vs {want}"
+                    f"{j}, exponent {p}: {have} vs {want}"
                 )
     return InfiniteSolution(
         model=model,

@@ -1,37 +1,47 @@
-"""Exact function algebra on piecewise sums of power terms.
+"""Exact function algebra on piecewise power-log sums.
 
-Functions are represented as sums of c * x^p * (ln x)^k on intervals of
-(0, inf).  The universe is closed under linear combination, under the
-derivative of f(x)/x^p, and under the resolvent operator of geometric
-Brownian motion; all three are computed in closed form with no
-discretization.  Log powers (k >= 1) arise whenever the resolvent is applied
-at a discount q to an input containing the exponent p with theta(p) = q
-(a resonant term); the recursion of the finite solver produces such terms
-from the third exercise right onward, so they are first-class citizens here.
+A function is a sum of terms c * x^p * (ln x)^k on the intervals of a
+partition of (0, inf).  Each piece is stored keyed by exponent: a dict that
+maps every exponent p, an exact float, to the coefficients [c_0, ..., c_K]
+of the polynomial in ln x that multiplies x^p.  The universe is closed under
+linear combination, under the derivative of f(x)/x^p, under the generator
+and under the resolvent operator of geometric Brownian motion; all are
+computed in closed form with no discretization.
+
+The resolvent never recomputes an exponent: each input exponent comes back
+as a key of the output, and the two roots of theta(p) = q are added exactly
+as root_pair returns them.  The few exponents of the finite-rights recursion
+(0, 1, b, beta, alpha) therefore stay bit-identical through any number of
+stages, and resonance -- an input exponent that is itself a root, so
+theta(p) = q -- is an exact float comparison.  A resonant term raises the
+log power by one instead of producing a pole; the recursion produces such
+terms from the third exercise right onward.  Terms supplied by callers as
+PowerTerms are canonicalized once, on construction.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 from mstop.model import GbmModel, root_pair
 
-# Exponents within this absolute tolerance are considered equal when
-# canonicalizing a piece; the same tolerance triggers the logarithmic
-# antiderivative branch for power integrals with exponent near -1.
+# Caller-supplied exponents within this absolute tolerance share one key; an
+# input exponent within it of a resolvent root makes the integral diverge.
 EXPONENT_MERGE_TOL = 1e-12
 # Coefficients below this magnitude are dropped.
 COEF_DROP_TOL = 1e-300
 
-# A term map sends (exponent, log_power) to a coefficient.  All internal
-# algebra works on these; PowerTerm tuples are the frozen public surface.
+# A term map sends (exponent, log_power) to a coefficient; it is the flat
+# form of one piece, as accepted and returned by the adapters below.
 TermMap = dict[tuple[float, int], float]
+# One piece keyed by exponent: p -> [c_0, ..., c_K] for x^p * sum_k c_k ln^k x.
+Poly = dict[float, list[float]]
 
 
 class DivergenceError(ValueError):
@@ -53,53 +63,150 @@ class PowerTerm:
             raise ValueError(f"log_power must be >= 0, got {self.log_power}")
 
 
-def _canonical_terms(terms: Iterable[PowerTerm]) -> tuple[PowerTerm, ...]:
-    # Merge exponents that agree within tolerance (same log power), sort,
-    # and drop negligible coefficients.  Merging is load-bearing: repeated
-    # resolvent applications reproduce the same mathematical exponent along
-    # different floating-point paths, and near-duplicate keys later shifted
-    # by a common offset can collide and corrupt coefficient bookkeeping.
-    merged: TermMap = {}
+# -- log-polynomial helpers -----------------------------------------------------
+
+
+def _add_coef(poly: Poly, p: float, k: int, c: float) -> None:
+    cs = poly.setdefault(p, [])
+    if len(cs) <= k:
+        cs.extend([0.0] * (k + 1 - len(cs)))
+    cs[k] += c
+
+
+def _axpy(dst: Poly, src: Poly, scale: float) -> None:
+    """dst += scale * src; the lists in dst belong to the caller."""
+    for p, cs in src.items():
+        d = dst.get(p)
+        if d is None:
+            dst[p] = [scale * c for c in cs]
+            continue
+        if len(d) < len(cs):
+            d.extend([0.0] * (len(cs) - len(d)))
+        for k, c in enumerate(cs):
+            d[k] += scale * c
+
+
+def _trim(poly: Poly) -> Poly:
+    """Drop negligible top log powers, and exponents left with none."""
+    out: Poly = {}
+    for p, cs in poly.items():
+        n = len(cs)
+        while n and abs(cs[n - 1]) <= COEF_DROP_TOL:
+            n -= 1
+        if n:
+            out[p] = cs if n == len(cs) else cs[:n]
+    return out
+
+
+def _canonical_poly(terms: Iterable[PowerTerm]) -> Poly:
+    # Caller-supplied exponents that agree within tolerance merge into the
+    # smallest of them: near-duplicate keys would otherwise be two terms of
+    # one function that resonance and divergence tests treat differently.
+    poly: Poly = {}
+    key = -math.inf
     for t in sorted(terms, key=lambda t: (t.exponent, t.log_power)):
-        key = (t.exponent, t.log_power)
-        for (p, k) in merged:
-            if k == t.log_power and abs(p - t.exponent) <= EXPONENT_MERGE_TOL:
-                key = (p, k)
-                break
-        merged[key] = merged.get(key, 0.0) + t.coef
-    return tuple(
-        PowerTerm(c, p, k)
-        for (p, k), c in sorted(merged.items())
-        if abs(c) > COEF_DROP_TOL
-    )
+        if t.exponent - key > EXPONENT_MERGE_TOL:
+            key = t.exponent
+        _add_coef(poly, key, t.log_power, t.coef)
+    return poly
 
 
-@dataclass(frozen=True)
+def _horner(cs: Sequence[float], lx):
+    """sum_k cs[k] * lx^k for a float or an array lx."""
+    acc = 0.0
+    for c in reversed(cs):
+        acc = acc * lx + c
+    return acc
+
+
+def ratio_coefs(e: float, cs: Sequence[float]) -> list[float]:
+    """Coefficients of y^(1-e) d/dy [y^e C(ln y)] = e C + C' in ln y."""
+    return [e * c + (k + 1) * n for k, (c, n) in enumerate(zip(cs, [*cs[1:], 0.0]))]
+
+
+def _antiderivative(s: float, cs: Sequence[float]) -> list[float]:
+    """Coefficients d of D with d/dy [y^s D(ln y)] = y^(s-1) C(ln y).
+
+    For s != 0 this is the backward recurrence s d_k + (k+1) d_(k+1) = c_k;
+    for s == 0 it is D = integral of C with D(0) = 0 (one more log power).
+    """
+    if s == 0.0:
+        return [0.0] + [c / (k + 1) for k, c in enumerate(cs)]
+    d = [0.0] * len(cs)
+    carry = 0.0  # (k+1) d_(k+1)
+    for k in range(len(cs) - 1, -1, -1):
+        d[k] = (cs[k] - carry) / s
+        carry = k * d[k]
+    return d
+
+
+def _anti_value(anti: list[tuple[float, list[float]]], y: float) -> float:
+    """sum of y^s D(ln y) over the (s, D) antiderivatives of one piece."""
+    ly = math.log(y)
+    return sum(y**s * _horner(d, ly) for s, d in anti)
+
+
+def power_log_integral(s: float, cs: Sequence[float], lo: float, hi: float) -> float:
+    """Integral of y^(s-1) * sum_k cs[k] ln^k y over (lo, hi] in closed form.
+
+    hi may be math.inf when s < 0, where the antiderivative vanishes.
+    """
+    d = _antiderivative(s, cs)
+    if math.isinf(hi):
+        if s >= 0.0 and any(d):
+            raise DivergenceError(
+                f"integral to infinity diverges; antiderivative exponent {s}"
+            )
+        upper = 0.0
+    else:
+        upper = _anti_value([(s, d)], hi)
+    return upper - _anti_value([(s, d)], lo)
+
+
+# -- piecewise sums --------------------------------------------------------------
+
+
 class PiecewisePowerSum:
     """Piecewise power-log sum on (0, inf) with right-closed intervals.
 
-    Pieces cover (0, x_1], (x_1, x_2], ..., (x_m, inf); construction
-    canonicalizes every piece.
+    Pieces cover (0, x_1], (x_1, x_2], ..., (x_m, inf).  `polys[j]` is piece
+    j keyed by exponent; results of the algebra share these dicts and lists,
+    so they must not be mutated.  The constructor takes PowerTerms and
+    canonicalizes them; `pieces`, `term_maps()` and `to_json_dict()` are
+    term views built on demand.
     """
 
-    breakpoints: tuple[float, ...]
-    pieces: tuple[tuple[PowerTerm, ...], ...]
+    __slots__ = ("breakpoints", "polys")
 
-    def __post_init__(self) -> None:
-        bps = tuple(float(x) for x in self.breakpoints)
+    def __init__(
+        self,
+        breakpoints: Iterable[float],
+        pieces: Iterable[Iterable[PowerTerm]],
+    ) -> None:
+        bps = tuple(float(x) for x in breakpoints)
+        pieces = tuple(pieces)
         if any(x <= 0.0 or not math.isfinite(x) for x in bps):
             raise ValueError(f"breakpoints must be positive finite: {bps}")
         if any(x1 >= x2 for x1, x2 in zip(bps, bps[1:])):
             raise ValueError(f"breakpoints must be strictly increasing: {bps}")
-        if len(self.pieces) != len(bps) + 1:
+        if len(pieces) != len(bps) + 1:
             raise ValueError(
                 f"expected {len(bps) + 1} pieces for {len(bps)} breakpoints, "
-                f"got {len(self.pieces)}"
+                f"got {len(pieces)}"
             )
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(
-            self, "pieces", tuple(_canonical_terms(p) for p in self.pieces)
-        )
+        self.breakpoints = bps
+        self.polys = tuple(_trim(_canonical_poly(p)) for p in pieces)
+
+    @classmethod
+    def from_polys(
+        cls, breakpoints: Iterable[float], polys: Iterable[Poly]
+    ) -> "PiecewisePowerSum":
+        """Build from exponent-keyed pieces on valid breakpoints; the result
+        takes ownership of the dicts and lists."""
+        f = object.__new__(cls)
+        f.breakpoints = tuple(breakpoints)
+        f.polys = tuple(_trim(p) for p in polys)
+        return f
 
     # -- evaluation ---------------------------------------------------------
 
@@ -110,10 +217,14 @@ class PiecewisePowerSum:
         if x <= 0.0:
             raise ValueError(f"x must be positive, got {x}")
         lx = math.log(x)
-        return sum(
-            t.coef * x**t.exponent * lx**t.log_power
-            for t in self.pieces[self.piece_index(x)]
-        )
+        total = 0.0
+        # Horner's rule inlined: scalar calls dominate the quadrature oracle.
+        for p, cs in self.polys[bisect_left(self.breakpoints, x)].items():
+            acc = 0.0
+            for c in reversed(cs):
+                acc = acc * lx + c
+            total += acc * x**p
+        return total
 
     def evaluate_many(self, x: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
         """Vectorized evaluation on an array of positive points."""
@@ -123,27 +234,51 @@ class PiecewisePowerSum:
         idx = np.searchsorted(np.asarray(self.breakpoints), x, side="left")
         out = np.zeros_like(x)
         lx = np.log(x)
-        for j, terms in enumerate(self.pieces):
+        for j, poly in enumerate(self.polys):
             mask = idx == j
-            if not np.any(mask):
+            if not poly or not np.any(mask):
                 continue
             xm, lm = x[mask], lx[mask]
             acc = np.zeros_like(xm)
-            for t in terms:
-                acc += t.coef * xm**t.exponent * lm**t.log_power
+            for p, cs in poly.items():
+                acc += xm**p * _horner(cs, lm)
             out[mask] = acc
         return out
 
     # -- structure ----------------------------------------------------------
 
+    @property
+    def pieces(self) -> tuple[tuple[PowerTerm, ...], ...]:
+        """Nonnegligible terms of each piece, sorted by (exponent, log power)."""
+        return tuple(
+            tuple(
+                PowerTerm(c, p, k)
+                for p in sorted(poly)
+                for k, c in enumerate(poly[p])
+                if abs(c) > COEF_DROP_TOL
+            )
+            for poly in self.polys
+        )
+
     def term_maps(self) -> list[TermMap]:
         return [{(t.exponent, t.log_power): t.coef for t in p} for p in self.pieces]
 
     def has_log_terms(self) -> bool:
-        return any(t.log_power > 0 for p in self.pieces for t in p)
+        return any(len(cs) > 1 for poly in self.polys for cs in poly.values())
 
     def is_zero(self) -> bool:
-        return all(len(p) == 0 for p in self.pieces)
+        return not any(self.polys)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PiecewisePowerSum):
+            return NotImplemented
+        return self.breakpoints == other.breakpoints and self.pieces == other.pieces
+
+    def __hash__(self) -> int:
+        return hash((self.breakpoints, self.pieces))
+
+    def __repr__(self) -> str:
+        return f"PiecewisePowerSum(breakpoints={self.breakpoints}, pieces={self.pieces})"
 
     # -- serialization ------------------------------------------------------
 
@@ -175,18 +310,6 @@ class PiecewisePowerSum:
         )
 
 
-def from_maps(
-    breakpoints: Iterable[float], maps: Iterable[TermMap]
-) -> PiecewisePowerSum:
-    """Build a PiecewisePowerSum from raw term maps (internal algebra form)."""
-    return PiecewisePowerSum(
-        tuple(breakpoints),
-        tuple(
-            tuple(PowerTerm(c, p, k) for (p, k), c in m.items()) for m in maps
-        ),
-    )
-
-
 def zero() -> PiecewisePowerSum:
     return PiecewisePowerSum((), ((),))
 
@@ -206,50 +329,28 @@ def call_payoff(strike: float) -> PiecewisePowerSum:
     )
 
 
-# -- term-map algebra ---------------------------------------------------------
+# -- term-map adapters ------------------------------------------------------------
 
 
-def _map_add(dst: TermMap, src: Mapping[tuple[float, int], float], scale: float) -> None:
-    for key, c in src.items():
-        dst[key] = dst.get(key, 0.0) + scale * c
-
-
-def _map_shift(terms: Mapping[tuple[float, int], float], dp: float) -> TermMap:
-    # Accumulate on collision: distinct keys can map to the same float after
-    # the shift.
-    out: TermMap = {}
+def _poly_of(terms: Mapping[tuple[float, int], float]) -> Poly:
+    poly: Poly = {}
     for (p, k), c in terms.items():
-        key = (p + dp, k)
-        out[key] = out.get(key, 0.0) + c
-    return out
-
-
-def _map_eval(terms: Mapping[tuple[float, int], float], x: float) -> float:
-    lx = math.log(x)
-    return sum(c * x**p * lx**k for (p, k), c in terms.items())
+        _add_coef(poly, p, k, c)
+    return poly
 
 
 def antiderivative_map(terms: Mapping[tuple[float, int], float]) -> TermMap:
     """Exact antiderivative of a power-log term map.
 
-    For p != -1:  int x^p ln^k dx =
-        x^{p+1} * sum_{j=0}^{k} (-1)^j k!/(k-j)! ln^{k-j} x / (p+1)^{j+1}.
-    For p == -1 (within tolerance): int x^{-1} ln^k dx = ln^{k+1} x / (k+1).
+    For p != -1 the exponent rises to p + 1 with the same top log power; for
+    p == -1, int x^{-1} ln^k dx = ln^{k+1} x / (k+1).
     """
     out: TermMap = {}
-    for (p, k), c in terms.items():
-        if abs(p + 1.0) < EXPONENT_MERGE_TOL:
-            key = (0.0, k + 1)
-            out[key] = out.get(key, 0.0) + c / (k + 1)
-        else:
-            fact = 1.0
-            for j in range(k + 1):
-                if j > 0:
-                    fact *= k - j + 1
-                key = (p + 1.0, k - j)
-                out[key] = out.get(key, 0.0) + c * (-1.0) ** j * fact / (p + 1.0) ** (
-                    j + 1
-                )
+    for p, cs in _poly_of(terms).items():
+        s = p + 1.0
+        for k, d in enumerate(_antiderivative(s, cs)):
+            if d != 0.0:
+                out[(s, k)] = out.get((s, k), 0.0) + d
     return out
 
 
@@ -258,17 +359,9 @@ def definite_integral(
 ) -> float:
     """Integral of a term map over (lo, hi]; hi may be math.inf when every
     antiderivative term vanishes there (strictly negative exponents)."""
-    anti = antiderivative_map(terms)
-    if math.isinf(hi):
-        if any(p >= 0.0 and abs(c) > 0.0 for (p, k), c in anti.items()):
-            raise DivergenceError(
-                f"integral to infinity diverges; antiderivative exponents "
-                f"{sorted(p for (p, _k) in anti)}"
-            )
-        upper = 0.0
-    else:
-        upper = _map_eval(anti, hi)
-    return upper - _map_eval(anti, lo)
+    return sum(
+        power_log_integral(p + 1.0, cs, lo, hi) for p, cs in _poly_of(terms).items()
+    )
 
 
 # -- public operations --------------------------------------------------------
@@ -282,17 +375,16 @@ def combine(
 ) -> PiecewisePowerSum:
     """Exact cf*f + cg*g with merged breakpoints."""
     bps = sorted(set(f.breakpoints) | set(g.breakpoints))
-    fmaps, gmaps = f.term_maps(), g.term_maps()
-    maps: list[TermMap] = []
+    polys: list[Poly] = []
     for j in range(len(bps) + 1):
         # Right-closed intervals: the closing endpoint identifies the source
         # piece; the unbounded last interval probes with +inf.
         probe = bps[j] if j < len(bps) else math.inf
-        m: TermMap = {}
-        _map_add(m, fmaps[bisect_left(f.breakpoints, probe)], cf)
-        _map_add(m, gmaps[bisect_left(g.breakpoints, probe)], cg)
-        maps.append(m)
-    return from_maps(bps, maps)
+        m: Poly = {}
+        _axpy(m, f.polys[bisect_left(f.breakpoints, probe)], cf)
+        _axpy(m, g.polys[bisect_left(g.breakpoints, probe)], cg)
+        polys.append(m)
+    return PiecewisePowerSum.from_polys(bps, polys)
 
 
 def scale(f: PiecewisePowerSum, c: float) -> PiecewisePowerSum:
@@ -304,17 +396,14 @@ def ratio_derivative(f: PiecewisePowerSum, p: float) -> PiecewisePowerSum:
 
     Term c x^q ln^k maps to c(q-p) x^{q-p-1} ln^k + c k x^{q-p-1} ln^{k-1}.
     """
-    maps: list[TermMap] = []
-    for piece in f.term_maps():
-        m: TermMap = {}
-        for (q, k), c in piece.items():
-            key = (q - p - 1.0, k)
-            m[key] = m.get(key, 0.0) + c * (q - p)
-            if k > 0:
-                key2 = (q - p - 1.0, k - 1)
-                m[key2] = m.get(key2, 0.0) + c * k
-        maps.append(m)
-    return from_maps(f.breakpoints, maps)
+    polys: list[Poly] = []
+    for poly in f.polys:
+        m: Poly = {}
+        for q, cs in poly.items():
+            # Distinct q can land on one float after the shift: accumulate.
+            _axpy(m, {q - p - 1.0: ratio_coefs(q - p, cs)}, 1.0)
+        polys.append(m)
+    return PiecewisePowerSum.from_polys(f.breakpoints, polys)
 
 
 def derivative(f: PiecewisePowerSum) -> PiecewisePowerSum:
@@ -331,19 +420,19 @@ def generator_apply(f: PiecewisePowerSum, model: GbmModel) -> PiecewisePowerSum:
                       + sigma^2/2 k(k-1) x^p ln^{k-2}.
     """
     s2 = model.sigma * model.sigma
-    maps: list[TermMap] = []
-    for piece in f.term_maps():
-        m: TermMap = {}
-        for (p, k), c in piece.items():
-            m[(p, k)] = m.get((p, k), 0.0) + c * model.theta(p)
-            if k >= 1:
-                key = (p, k - 1)
-                m[key] = m.get(key, 0.0) + c * k * (0.5 * s2 * (2 * p - 1) + model.mu)
-            if k >= 2:
-                key = (p, k - 2)
-                m[key] = m.get(key, 0.0) + c * 0.5 * s2 * k * (k - 1)
-        maps.append(m)
-    return from_maps(f.breakpoints, maps)
+    polys: list[Poly] = []
+    for poly in f.polys:
+        m: Poly = {}
+        for p, cs in poly.items():
+            first = 0.5 * s2 * (2 * p - 1) + model.mu
+            out = [c * model.theta(p) for c in cs]
+            for k in range(1, len(cs)):
+                out[k - 1] += cs[k] * k * first
+            for k in range(2, len(cs)):
+                out[k - 2] += cs[k] * 0.5 * s2 * k * (k - 1)
+            m[p] = out
+        polys.append(m)
+    return PiecewisePowerSum.from_polys(f.breakpoints, polys)
 
 
 def resolvent_apply(
@@ -356,69 +445,72 @@ def resolvent_apply(
                               + psi_q(x) int_x^inf phi_q f m' dy ]
     with psi_q = x^{p_q}, phi_q = x^{m_q} (the positive/negative roots of
     theta(p) = q), m'(y) = (2/sigma^2) y^{2 mu/sigma^2 - 2} and
-    B_q = p_q - m_q.  Every integrand is a power-log function, so each piece
-    integrates in closed form; output breakpoints equal input breakpoints.
-    Resonant input exponents (theta(p) = q) produce an extra log power
-    instead of a pole.
+    B_q = p_q - m_q.  Since p_q + m_q = 1 - 2 mu/sigma^2, the integrands of a
+    term y^p C(ln y) are y^{s-1} C(ln y) with s = p - m_q and s = p - p_q,
+    and both particular parts multiply back to x^p: every input exponent is
+    an output key, never recomputed.  Each piece integrates in closed form;
+    output breakpoints equal input breakpoints.  A resonant input exponent
+    (p equal to p_q or m_q, so s == 0) raises the log power by one instead
+    of producing a pole.
     """
     pq, mq = root_pair(model, q)
-    s2 = model.sigma * model.sigma
     b_q = pq - mq
-    tm = 2.0 * model.mu / s2 - 2.0  # exponent of m'
-
-    piece_maps = f.term_maps()
+    u = 2.0 / (model.sigma * model.sigma * b_q)
+    polys = f.polys
     m = len(f.breakpoints)
-    lows = [0.0, *f.breakpoints]
-    highs = [*f.breakpoints, math.inf]
 
     # Convergence of the two one-sided integrals.
-    for (p, _k), c in piece_maps[0].items():
-        if abs(c) > 0.0 and p - mq <= EXPONENT_MERGE_TOL:
+    for p in polys[0]:
+        if p - mq <= EXPONENT_MERGE_TOL:
             raise DivergenceError(
                 f"lower integral diverges: leftmost exponent {p} <= {mq}"
             )
-    for (p, _k), c in piece_maps[-1].items():
-        if abs(c) > 0.0 and pq - p <= EXPONENT_MERGE_TOL:
+    for p in polys[-1]:
+        if pq - p <= EXPONENT_MERGE_TOL:
             raise DivergenceError(
                 f"upper integral diverges: rightmost exponent {p} >= {pq}"
             )
 
-    # Antiderivatives of psi_q f m' and phi_q f m' per piece.
-    f1 = [
-        antiderivative_map(_map_shift({k: 2.0 / s2 * v for k, v in pm.items()}, pq + tm))
-        for pm in piece_maps
-    ]
-    f2 = [
-        antiderivative_map(_map_shift({k: 2.0 / s2 * v for k, v in pm.items()}, mq + tm))
-        for pm in piece_maps
-    ]
+    # Per piece: the particular part, and the antiderivatives (s, D) of
+    # u psi_q f m' and u phi_q f m'.
+    parts: list[Poly] = []
+    anti_psi: list[list[tuple[float, list[float]]]] = []
+    anti_phi: list[list[tuple[float, list[float]]]] = []
+    for poly in polys:
+        part: Poly = {}
+        a1, a2 = [], []
+        for p, cs in poly.items():
+            cu = [u * c for c in cs]
+            d1 = _antiderivative(p - mq, cu)
+            d2 = _antiderivative(p - pq, cu)
+            a1.append((p - mq, d1))
+            a2.append((p - pq, d2))
+            part[p] = list(d1)
+            _axpy(part, {p: d2}, -1.0)
+        parts.append(part)
+        anti_psi.append(a1)
+        anti_phi.append(a2)
 
-    # Definite piece integrals of phi_q f m' (for the suffix sums feeding the
-    # psi coefficients); the j = 0 lower endpoint is the limit at 0, which
-    # exists by the convergence check but is only needed for j >= 1.
-    phi_int = [
-        (0.0 if highs[j] == math.inf else _map_eval(f2[j], highs[j]))
-        - _map_eval(f2[j], lows[j])
-        for j in range(1, m + 1)
-    ]
-    suffix = [0.0] * (m + 2)
+    # Homogeneous coefficients.  On piece j = (lo, hi]:
+    #   phi coefficient = int_0^lo u psi f m' - F1_j(lo),
+    #   psi coefficient = F2_j(hi) + int_hi^inf u phi f m',
+    # where F1_j(0) = 0 and F2_j(inf) = 0 by the convergence checks.
+    bps = f.breakpoints
+    c_phi = [0.0] * (m + 1)
+    prefix = 0.0
+    for j in range(1, m + 1):
+        prefix += _anti_value(anti_psi[j - 1], bps[j - 1])
+        if j >= 2:
+            prefix -= _anti_value(anti_psi[j - 1], bps[j - 2])
+        c_phi[j] = prefix - _anti_value(anti_psi[j], bps[j - 1])
+    c_psi = [0.0] * (m + 1)
+    suffix = 0.0
     for j in range(m - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + phi_int[j]  # phi_int[j] covers piece j+1
-
-    out_maps: list[TermMap] = []
-    prefix = 0.0  # running int_0^{lows[j]} psi_q f m' dy
-    for j in range(m + 1):
-        lo, hi = lows[j], highs[j]
-        part: TermMap = {}
-        _map_add(part, _map_shift(f1[j], mq), 1.0 / b_q)
-        _map_add(part, _map_shift(f2[j], pq), -1.0 / b_q)
-        c_phi = (prefix - (_map_eval(f1[j], lo) if lo > 0.0 else 0.0)) / b_q
-        c_psi = (suffix[j] + (_map_eval(f2[j], hi) if hi != math.inf else 0.0)) / b_q
-        part[(mq, 0)] = part.get((mq, 0), 0.0) + c_phi
-        part[(pq, 0)] = part.get((pq, 0), 0.0) + c_psi
-        out_maps.append(part)
-        if hi != math.inf:
-            prefix += _map_eval(f1[j], hi) - (
-                _map_eval(f1[j], lo) if lo > 0.0 else 0.0
-            )
-    return from_maps(f.breakpoints, out_maps)
+        if j + 1 < m:
+            suffix += _anti_value(anti_phi[j + 1], bps[j + 1])
+        suffix -= _anti_value(anti_phi[j + 1], bps[j])
+        c_psi[j] = _anti_value(anti_phi[j], bps[j]) + suffix
+    for part, a, b in zip(parts, c_phi, c_psi):
+        _add_coef(part, mq, 0, a)
+        _add_coef(part, pq, 0, b)
+    return PiecewisePowerSum.from_polys(bps, parts)

@@ -143,6 +143,15 @@ def test_verify_rejects_too_few_paths(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [("solve", "--x0", "nan"), ("verify", "--x0", "inf", "--paths", "1000")]
+)
+def test_non_finite_x0_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--x0" in json.loads(err)["error"]
+
+
 def test_verify_with_perturb_reports_dominance(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mstop.finite import (
+    _assert_invariants,
     check_ratio_monotonicity,
     continuation_value,
     delta,
@@ -141,6 +142,24 @@ def test_ladder_ordering(ladder5):
 def test_ladder_rejects_no_rights():
     with pytest.raises(ValueError):
         solve_ladder(REF_MODEL, 0)
+
+
+def test_ladder_exponents_are_structural():
+    # Every term of V^i and H^i is x^p poly(ln x) with p one of five
+    # exponents, bit for bit: the algebra carries exponents through the
+    # recursion and never recomputes them.
+    ladder = solve_ladder(REF_MODEL, 20)
+    e = ladder.exponents
+    allowed = {0.0, 1.0, e.b, e.beta, e.alpha}
+    for f in (*ladder.values, *ladder.h_funcs):
+        assert {t.exponent for piece in f.pieces for t in piece} <= allowed
+
+
+def test_ladder_sixty_rights_approaches_infinite_limit():
+    ladder = solve_ladder(REF_MODEL, 60)
+    x_hat = x_hat_infinite(REF_MODEL)
+    _assert_invariants(ladder, x_hat)
+    assert 0.0 < ladder.thresholds[-1] - x_hat < 1e-6
 
 
 def test_first_order_condition_independent(ladder5):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mstop.finite import solve_ladder
 from mstop.infinite import (
     check_verification,
     riesz_density,
@@ -60,6 +61,22 @@ def test_closed_form_coefficients():
     assert sol.c2 == pytest.approx(ORACLE["c2"], rel=1e-12)
     assert sol.c3 == pytest.approx(ORACLE["c3"], rel=1e-12)
     assert sol.c4 == pytest.approx(ORACLE["c4"], rel=1e-12)
+
+
+def test_negligible_term_reconciles_as_zero():
+    # Here x_hat^a underflows: c3 is -0.0 and the algebra drops its x^a term
+    # as negligible, which must count as a zero coefficient, not a mismatch.
+    model = GbmModel(
+        mu=0.012755324407617934,
+        sigma=0.0057692490827087935,
+        r=0.24489099222950395,
+        lam=0.026749214844510084,
+        strike=0.06223750555365426,
+    )
+    sol = solve_infinite(model)
+    assert sol.c3 == 0.0
+    ladder = solve_ladder(model, 3)
+    assert ladder.thresholds[-1] > sol.x_hat_inf
 
 
 def test_value_function_continuity_and_anchor():
