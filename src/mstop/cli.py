@@ -9,14 +9,16 @@ Commands:
 Model parameters come from flags, falling back to an INI config file
 (--config or the MSTOP_CONFIG environment variable, flat key=value entries
 named after the long flags), falling back to the built-in reference
-configuration.  Exit codes: 0 ok, 2 bad input, 3 solver failure,
-4 verification failure.
+configuration; an unknown key or a malformed file is bad input.  Exit
+codes: 0 ok, 2 bad input, 3 solver failure, 4 verification failure, 141
+(128 + SIGPIPE) when the reader of stdout closed it early, as `| head` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import json
 import math
 import os
 import sys
@@ -42,13 +44,16 @@ DEFAULTS = {
 
 # Published reference thresholds for the table preset (N = 1..5).  Entries
 # 3-5 disagree with the exact and the finite-difference solutions of the
-# recursion (by 0.037, 0.097 and 0.125); `mstop table` reports them as printed.
+# recursion (by 0.037, 0.097 and 0.125); `mstop table` reports them as printed
+# and names them in PAPER_TABLE1_ERRATUM (README, "Published table erratum").
 PAPER_TABLE1 = (3.317653, 3.079880, 2.971528, 2.738782, 2.643230)
+PAPER_TABLE1_ERRATUM = (3, 4, 5)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
+EXIT_BROKEN_PIPE = 141
 
 
 # -- serialization ------------------------------------------------------------
@@ -84,7 +89,7 @@ def _to_json(obj, indent: int = 0) -> str:
         return str(int(obj))
     if obj is None:
         return "null"
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(str(obj))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -112,14 +117,25 @@ def _load_config(path: str | None) -> dict[str, str]:
         return {}
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    if not text.lstrip().startswith("["):
+    flat = not text.lstrip().startswith("[")
+    if flat:
         text = "[mstop]\n" + text
     parser = configparser.ConfigParser()
-    parser.read_string(text)
+    try:
+        parser.read_string(text, source=path)
+    except configparser.Error as exc:
+        note = " (line numbers count an added [mstop] header line)" if flat else ""
+        raise ValueError(f"bad config file: {exc}{note}") from exc
     merged: dict[str, str] = {}
     for section in parser.sections():
         merged.update(parser[section])
     merged.update(parser.defaults())
+    unknown = sorted(set(merged) - set(DEFAULTS))
+    if unknown:
+        raise ValueError(
+            f"unknown config key(s) {', '.join(unknown)} in {path}; "
+            f"expected {', '.join(DEFAULTS)}"
+        )
     return merged
 
 
@@ -243,7 +259,9 @@ def _values_by_quadrature(model: GbmModel, ladder, x0: float) -> list[float]:
 def cmd_table(args: argparse.Namespace, config: dict[str, str]) -> int:
     if args.preset != "paper-table1":
         raise ValueError(f"unknown preset: {args.preset}")
-    model = GbmModel(mu=0.008, sigma=0.125, r=0.05, lam=0.1, strike=2.0)
+    # `table` takes no model flags and ignores the config: the preset is the
+    # reference configuration.
+    model = _build_model(args, {})
     ladder = solve_ladder(model, 5)
     x_hat = x_hat_infinite(model)
     computed = list(ladder.thresholds)
@@ -256,6 +274,7 @@ def cmd_table(args: argparse.Namespace, config: dict[str, str]) -> int:
             "computed": computed,
             "published": published,
             "abs_diff": diffs,
+            "published_erratum": list(PAPER_TABLE1_ERRATUM),
             "x_hat_inf": x_hat,
         }
         _emit(_to_json(report), args.output)
@@ -265,7 +284,13 @@ def cmd_table(args: argparse.Namespace, config: dict[str, str]) -> int:
         publ = "published " + " ".join(f"{v:10.6f}" for v in published)
         diff = "abs diff  " + " ".join(f"{v:10.6f}" for v in diffs)
         tail = f"x_hat_inf {x_hat:10.6f}"
-        _emit("\n".join([head, comp, publ, diff, tail]), args.output)
+        note = (
+            "published rows "
+            + ", ".join(map(str, PAPER_TABLE1_ERRATUM))
+            + " are an erratum, not the solution of the recursion "
+            '(README, "Published table erratum")'
+        )
+        _emit("\n".join([head, comp, publ, diff, tail, note]), args.output)
     return EXIT_OK
 
 
@@ -357,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="INI config file (or set MSTOP_CONFIG)")
 
-    def add_common(sub: argparse.ArgumentParser) -> None:
+    def add_model(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--mu", type=float, help="drift rate")
         sub.add_argument("--sigma", type=float, help="volatility")
         sub.add_argument("--rate", type=float, help="discount rate r")
@@ -365,16 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
             "--lambda", type=float, dest="lambda_", help="refraction rate"
         )
         sub.add_argument("--strike", type=float, help="call strike K")
-        sub.add_argument(
-            "--format", choices=("json", "csv", "text"), default="json"
-        )
+
+    def add_output(sub: argparse.ArgumentParser, formats: bool = True) -> None:
+        if formats:
+            sub.add_argument("--format", choices=("json", "text"), default="json")
         sub.add_argument("--output", help="output path (default: stdout)")
-        sub.add_argument("--workers", type=int, default=1)
 
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_solve = subs.add_parser("solve", help="solve the threshold ladder")
-    add_common(p_solve)
+    add_model(p_solve)
+    add_output(p_solve)
     p_solve.add_argument("--rights", type=int, default=5)
     p_solve.add_argument("--x0", type=float, default=2.0)
     p_solve.add_argument(
@@ -382,13 +408,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.set_defaults(func=cmd_solve)
 
-    p_table = subs.add_parser("table", help="reproduce the reference table")
-    add_common(p_table)
+    p_table = subs.add_parser(
+        "table", help="reproduce the reference table (reference model only)"
+    )
+    add_output(p_table)
     p_table.add_argument("--preset", default="paper-table1")
     p_table.set_defaults(func=cmd_table)
 
     p_verify = subs.add_parser("verify", help="Monte Carlo verification")
-    add_common(p_verify)
+    add_model(p_verify)
+    add_output(p_verify)
+    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--paths", type=int, default=1_000_000)
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--rights", type=int, default=5)
@@ -397,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_curve = subs.add_parser("curve", help="export value-function curves (CSV)")
-    add_common(p_curve)
+    add_model(p_curve)
+    add_output(p_curve, formats=False)
     p_curve.add_argument("--rights", type=int, default=5)
     p_curve.add_argument("--grid", required=True, help="lo:hi:points (log-spaced)")
     p_curve.set_defaults(func=cmd_curve)
@@ -415,12 +446,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _load_config(args.config)
     except OSError as exc:
         return _error(f"cannot read config: {exc}", EXIT_INPUT)
+    except ValueError as exc:
+        return _error(str(exc), EXIT_INPUT)
     try:
-        return args.func(args, config)
+        code = args.func(args, config)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         return _error(str(exc), EXIT_INPUT)
     except ArithmeticError as exc:
         return _error(str(exc), EXIT_SOLVER)
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at /dev/null so the flush at
+        # interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -9,19 +9,20 @@ the unique root of the necessary condition
 
 on (x_hat_inf, x*_1], where Delta_{i-1} < 0 is a closed-form integral of
 the previous stage.  Everything except the one-dimensional root solve stays
-in the exact power-log algebra.
+in the exact power-log algebra, and that solve is a Newton iteration with
+the analytic derivative.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
-from scipy.optimize import brentq
 
 from mstop.model import Exponents, GbmModel, derive_exponents, require_valid
 from mstop.powerfn import (
@@ -34,7 +35,10 @@ from mstop.powerfn import (
     resolvent_apply,
 )
 
-ROOT_XTOL = 1e-10
+# Newton stops once a step is below ROOT_RTOL * x (a few units in the last
+# place) or no longer moves x left.
+ROOT_RTOL = 4.0 * sys.float_info.epsilon
+NEWTON_MAX_ITER = 100
 BRACKET_EPS = 1e-12
 
 
@@ -118,8 +122,13 @@ def delta(model: GbmModel, h_prev: PiecewisePowerSum, x_star_prev: float) -> flo
 def solve_threshold(model: GbmModel, delta_value: float) -> float:
     """Unique root of f(x) = x - b(x - K) + Delta x^beta on (x_hat, x*_1].
 
-    Bracketed safeguarded root finding (Brent) to absolute tolerance 1e-10;
-    a strict sign change across the bracket is asserted first.
+    With b > 1, beta > 1 and Delta < 0, f'(x) = 1 - b + Delta beta x^(beta-1)
+    <= 1 - b < 0 and f''(x) = Delta beta (beta-1) x^(beta-2) < 0: f is
+    strictly decreasing and concave.  Newton's method started at x*_1, where
+    f < 0, therefore moves left monotonically and never passes the root.  A
+    strict sign change across the bracket is asserted first; iterates are
+    clamped at x_hat + BRACKET_EPS, and a solve that has not converged after
+    NEWTON_MAX_ITER steps raises ArithmeticError.
     """
     if delta_value > 0.0:
         raise ValueError(f"delta must be <= 0, got {delta_value}")
@@ -134,7 +143,8 @@ def solve_threshold(model: GbmModel, delta_value: float) -> float:
 
     if delta_value == 0.0:
         return x1
-    f_lo, f_hi = f(x_hat + BRACKET_EPS), f(x1)
+    lo = x_hat + BRACKET_EPS
+    f_lo, f_hi = f(lo), f(x1)
     if f_hi >= 0.0:
         # f is strictly decreasing on the bracket; a nonnegative value at
         # the right end puts the root at (or beyond) x*_1.
@@ -143,11 +153,23 @@ def solve_threshold(model: GbmModel, delta_value: float) -> float:
         if f_lo >= -1e-9:
             # Degenerate bracket (x_hat and x*_1 nearly coincide, e.g. for
             # tiny lam): f at the left end is zero up to float noise.
-            return x_hat + BRACKET_EPS
+            return lo
         raise ArithmeticError(
             f"no sign change on bracket ({x_hat}, {x1}]: f={f_lo}, {f_hi}"
         )
-    return float(brentq(f, x_hat + BRACKET_EPS, x1, xtol=ROOT_XTOL))
+    x, fx = x1, f_hi
+    for _ in range(NEWTON_MAX_ITER):
+        step = fx / (1.0 - b + delta_value * beta * x ** (beta - 1.0))
+        x_new = max(x - step, lo)
+        if not x_new < x:
+            return x
+        x = x_new
+        if step <= ROOT_RTOL * x:
+            return x
+        fx = f(x)
+    raise ArithmeticError(
+        f"Newton did not converge on ({x_hat}, {x1}] in {NEWTON_MAX_ITER} steps"
+    )
 
 
 def solve_ladder(model: GbmModel, n: int) -> ThresholdLadder:

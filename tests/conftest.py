@@ -9,9 +9,15 @@ regression anchors.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mstop
 from mstop.model import GbmModel
 from mstop.powerfn import PiecewisePowerSum, PowerTerm
 
@@ -107,3 +113,11 @@ def random_valid_model(rng: np.random.Generator) -> GbmModel:
     lam = float(rng.uniform(0.02, 0.5))
     strike = float(rng.uniform(0.5, 5.0))
     return GbmModel(mu=mu, sigma=sigma, r=r, lam=lam, strike=strike)
+
+
+def run_python(code: str, *argv: str, **popen) -> subprocess.Popen:
+    """Start `python -c code argv...` with the package under test importable."""
+    src = str(Path(mstop.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, path))))
+    return subprocess.Popen([sys.executable, "-c", code, *argv], env=env, **popen)

@@ -1,12 +1,13 @@
 import json
 import math
+import subprocess
 
 import numpy as np
 import pytest
 
-from mstop.cli import main
+from mstop.cli import EXIT_BROKEN_PIPE, main
 
-from conftest import ORACLE, PUBLISHED_THRESHOLDS
+from conftest import ORACLE, PUBLISHED_THRESHOLDS, run_python
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +89,18 @@ def test_table_preset(capsys):
     assert report["computed"][0] == pytest.approx(3.317653, abs=1e-6)
     assert report["computed"][1] == pytest.approx(3.079880, abs=1e-6)
     assert len(report["abs_diff"]) == 5
+
+
+def test_table_names_published_erratum(capsys):
+    code, out, _ = run_cli(capsys, "table", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["published_erratum"] == [3, 4, 5]
+    code, out, _ = run_cli(capsys, "table", "--format", "text")
+    assert code == 0
+    assert out.strip().split("\n")[-1] == (
+        "published rows 3, 4, 5 are an erratum, not the solution of the "
+        'recursion (README, "Published table erratum")'
+    )
 
 
 def test_table_unknown_preset_exit_2(capsys):
@@ -216,6 +229,30 @@ def test_curve_writes_file(tmp_path, capsys):
     assert text.endswith("\n")
 
 
+# -- flags ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--workers", "2"),
+        ("table", "--workers", "2"),
+        ("curve", "--grid", "1:2:2", "--workers", "2"),
+        ("curve", "--grid", "1:2:2", "--format", "json"),
+        ("solve", "--format", "csv"),
+        ("table", "--format", "csv"),
+        ("verify", "--format", "csv"),
+        ("table", "--mu", "0.01"),
+    ],
+)
+def test_unused_flags_rejected_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err
+
+
 # -- config --------------------------------------------------------------------
 
 
@@ -268,3 +305,47 @@ def test_repeat_invocations_byte_identical(capsys):
         capsys, "verify", "--paths", "20000", "--rights", "1", "--x0", "2"
     )
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("mu = 0.009\nmu = 0.010\n", "already exists"),
+        ("sigma = 0.125\nthis is not a key value pair\n", "parsing errors"),
+    ],
+)
+def test_malformed_config_exit_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "--config", str(cfg), "solve", "--rights", "1")
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert message in error["error"] and error["exit_code"] == 2
+
+
+def test_unknown_config_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text("lam = 0.2\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "solve", "--rights", "1")
+    assert code == 2 and out == ""
+    assert "unknown config key(s) lam" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv", [("curve", "--grid", "0.5:10:2000"), ("solve", "--rights", "1")]
+)
+def test_closed_stdout_exits_quietly(argv):
+    # The reader goes away before the command writes anything, as `| head`
+    # does when it has read enough.
+    proc = run_python(
+        "import sys; from mstop.cli import main; sys.exit(main())",
+        *argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert "Traceback" not in err and "BrokenPipeError" not in err

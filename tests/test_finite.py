@@ -1,8 +1,11 @@
 import math
+import subprocess
 
+import mpmath
 import numpy as np
 import pytest
 
+from mstop import finite
 from mstop.finite import (
     _assert_invariants,
     check_ratio_monotonicity,
@@ -17,7 +20,7 @@ from mstop.infinite import solve_infinite, x_hat_infinite
 from mstop.model import GbmModel, derive_exponents
 from mstop.powerfn import call_payoff, monomial, ratio_derivative, zero
 
-from conftest import ORACLE, REF_MODEL, random_valid_model
+from conftest import ORACLE, REF_MODEL, random_valid_model, run_python
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +107,41 @@ def test_solve_threshold_reports_missing_sign_change():
     # A Delta so negative that f < 0 on the whole bracket.
     with pytest.raises(ArithmeticError, match="sign change"):
         solve_threshold(REF_MODEL, -1.0)
+
+
+@pytest.mark.parametrize("lam, n", [(0.1, 20), (1e-6, 5)])
+def test_solve_threshold_matches_high_precision_root(lam, n):
+    # lam=1e-6 nearly collapses the bracket (x_hat, x*_1] to width 2e-5:
+    # stage 2 is a Newton solve 7e-10 above x_hat, the later stages take the
+    # degenerate-bracket branch.
+    model = GbmModel(mu=0.008, sigma=0.125, r=0.05, lam=lam, strike=2.0)
+    exps = derive_exponents(model)
+    deltas = solve_ladder(model, n).deltas
+    with mpmath.workdps(50):
+        b, beta, k = (mpmath.mpf(v) for v in (exps.b, exps.beta, model.strike))
+        bracket = (beta / (beta - 1) * k, b / (b - 1) * k)
+        for d in deltas:
+            dm = mpmath.mpf(d)
+            root = mpmath.findroot(
+                lambda x: x - b * (x - k) + dm * x**beta, bracket, solver="anderson"
+            )
+            assert solve_threshold(model, d) == pytest.approx(float(root), rel=1e-12)
+
+
+def test_solve_threshold_raises_when_newton_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(finite, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(ArithmeticError, match="Newton did not converge"):
+        solve_threshold(REF_MODEL, ORACLE["deltas"][0])
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = (
+        "import sys, mstop.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = run_python(code, stdout=subprocess.PIPE, text=True)
+    out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and out.strip() == "[]"
 
 
 # -- the ladder -------------------------------------------------------------------
