@@ -7,8 +7,9 @@ Commands:
   curve   export value-function curves as CSV
 
 Model parameters come from flags, falling back to an INI config file
-(--config or the MSTOP_CONFIG environment variable, flat key=value entries
-named after the long flags), falling back to the built-in reference
+(--config, before the subcommand or after solve/verify/curve, or the
+MSTOP_CONFIG environment variable; flat key=value entries named after the
+long flags), falling back to the built-in reference
 configuration; an unknown key or a malformed file is bad input.  Exit
 codes: 0 ok, 2 bad input, 3 solver failure, 4 verification failure, 141
 (128 + SIGPIPE) when the reader of stdout closed it early, as `| head` does.
@@ -67,31 +68,6 @@ def _fmt_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def _to_json(obj, indent: int = 0) -> str:
-    """Minimal JSON writer with floats at 17 significant digits."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {_to_json(v, indent + 1)}' for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + ", ".join(_to_json(v, indent) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
-
-
 def _emit(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
@@ -103,7 +79,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _error(message: str, code: int) -> int:
-    sys.stderr.write(_to_json({"error": message, "exit_code": code}) + "\n")
+    sys.stderr.write(json.dumps({"error": message, "exit_code": code}, indent=2) + "\n")
     return code
 
 
@@ -228,7 +204,7 @@ def cmd_solve(args: argparse.Namespace, config: dict[str, str]) -> int:
         ]
         _emit("\n".join(lines), args.output)
     else:
-        _emit(_to_json(report), args.output)
+        _emit(json.dumps(report, indent=2), args.output)
     return EXIT_OK
 
 
@@ -277,7 +253,7 @@ def cmd_table(args: argparse.Namespace, config: dict[str, str]) -> int:
             "published_erratum": list(PAPER_TABLE1_ERRATUM),
             "x_hat_inf": x_hat,
         }
-        _emit(_to_json(report), args.output)
+        _emit(json.dumps(report, indent=2), args.output)
     else:
         head = "i         " + " ".join(f"{i:>10d}" for i in range(1, 6))
         comp = "computed  " + " ".join(f"{v:10.6f}" for v in computed)
@@ -343,7 +319,7 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
             )
         _emit("\n".join(lines), args.output)
     else:
-        _emit(_to_json(report), args.output)
+        _emit(json.dumps(report, indent=2), args.output)
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -380,16 +356,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mstop",
         description="Optimal multiple stopping with exponential refraction periods.",
     )
-    parser.add_argument("--config", help="INI config file (or set MSTOP_CONFIG)")
+    config_help = "INI config file (or set MSTOP_CONFIG)"
+    parser.add_argument("--config", help=config_help)
 
-    def add_model(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--mu", type=float, help="drift rate")
-        sub.add_argument("--sigma", type=float, help="volatility")
-        sub.add_argument("--rate", type=float, help="discount rate r")
-        sub.add_argument(
-            "--lambda", type=float, dest="lambda_", help="refraction rate"
-        )
-        sub.add_argument("--strike", type=float, help="call strike K")
+    # Flags of the commands that take a model, built once and shared.
+    # SUPPRESS: a --config given before the subcommand stays in force
+    # unless the subcommand is given its own.
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--config", default=argparse.SUPPRESS, help=config_help)
+    model.add_argument("--mu", type=float, help="drift rate")
+    model.add_argument("--sigma", type=float, help="volatility")
+    model.add_argument("--rate", type=float, help="discount rate r")
+    model.add_argument("--lambda", type=float, dest="lambda_", help="refraction rate")
+    model.add_argument("--strike", type=float, help="call strike K")
 
     def add_output(sub: argparse.ArgumentParser, formats: bool = True) -> None:
         if formats:
@@ -398,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = subs.add_parser("solve", help="solve the threshold ladder")
-    add_model(p_solve)
+    p_solve = subs.add_parser(
+        "solve", parents=[model], help="solve the threshold ladder"
+    )
     add_output(p_solve)
     p_solve.add_argument("--rights", type=int, default=5)
     p_solve.add_argument("--x0", type=float, default=2.0)
@@ -415,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--preset", default="paper-table1")
     p_table.set_defaults(func=cmd_table)
 
-    p_verify = subs.add_parser("verify", help="Monte Carlo verification")
-    add_model(p_verify)
+    p_verify = subs.add_parser(
+        "verify", parents=[model], help="Monte Carlo verification"
+    )
     add_output(p_verify)
     p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--paths", type=int, default=1_000_000)
@@ -426,8 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--perturb", type=float, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_curve = subs.add_parser("curve", help="export value-function curves (CSV)")
-    add_model(p_curve)
+    p_curve = subs.add_parser(
+        "curve", parents=[model], help="export value-function curves (CSV)"
+    )
     add_output(p_curve, formats=False)
     p_curve.add_argument("--rights", type=int, default=5)
     p_curve.add_argument("--grid", required=True, help="lo:hi:points (log-spaced)")

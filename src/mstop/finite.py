@@ -27,7 +27,6 @@ import numpy.typing as npt
 from mstop.model import Exponents, GbmModel, derive_exponents, require_valid
 from mstop.powerfn import (
     PiecewisePowerSum,
-    PowerTerm,
     call_payoff,
     combine,
     power_log_integral,
@@ -61,10 +60,15 @@ class ThresholdLadder:
     deltas: tuple[float, ...]
 
 
+def perpetual_call_threshold(e: float, strike: float) -> float:
+    """Exercise level e K / (e - 1) of the perpetual call whose value below
+    it is proportional to x^e, for e > 1."""
+    return e / (e - 1.0) * strike
+
+
 def x_star_single(model: GbmModel) -> float:
     """Single-right optimal threshold b K / (b - 1)."""
-    b = derive_exponents(model).b
-    return b / (b - 1.0) * model.strike
+    return perpetual_call_threshold(derive_exponents(model).b, model.strike)
 
 
 def solve_single(
@@ -73,13 +77,9 @@ def solve_single(
     """Base case: classical perpetual call. Returns (x*_1, V^1, H^1)."""
     require_valid(model, require_positive_net_drift=True)
     b = derive_exponents(model).b
-    x1 = b / (b - 1.0) * model.strike
-    c1 = (x1 - model.strike) / x1**b
-    v1 = PiecewisePowerSum(
-        (x1,),
-        ((PowerTerm(c1, b),), (PowerTerm(1.0, 1.0), PowerTerm(-model.strike, 0.0))),
-    )
-    return x1, v1, call_payoff(model.strike)
+    x1 = perpetual_call_threshold(b, model.strike)
+    h1 = call_payoff(model.strike)
+    return x1, threshold_form(h1, x1, b), h1
 
 
 def continuation_value(
@@ -135,8 +135,8 @@ def solve_threshold(model: GbmModel, delta_value: float) -> float:
     exps = derive_exponents(model)
     b, beta = exps.b, exps.beta
     k = model.strike
-    x_hat = beta / (beta - 1.0) * k
-    x1 = b / (b - 1.0) * k
+    x_hat = perpetual_call_threshold(beta, k)
+    x1 = perpetual_call_threshold(b, k)
 
     def f(x: float) -> float:
         return x - b * (x - k) + delta_value * x**beta
@@ -179,37 +179,37 @@ def solve_ladder(model: GbmModel, n: int) -> ThresholdLadder:
         raise ValueError(f"number of rights must be >= 1, got {n}")
     require_valid(model, require_positive_net_drift=True)
     exps = derive_exponents(model)
-    b, beta = exps.b, exps.beta
-    x_hat = beta / (beta - 1.0) * model.strike
+    b = exps.b
+    x_hat = perpetual_call_threshold(exps.beta, model.strike)
 
-    x1, v1, h1 = solve_single(model)
-    thresholds = [x1]
-    c_stars = [(x1 - model.strike) / x1**b]
-    values = [v1]
-    h_funcs = [h1]
-    deltas: list[float] = []
-
-    for i in range(2, n + 1):
-        d = delta(model, h_funcs[-1], thresholds[-1])
-        deltas.append(d)
-        h_i = continuation_value(model, values[-1])
-        x_i = solve_threshold(model, d)
-        c_i = h_i(x_i) / x_i**b
-        above = _truncate_below(h_i, x_i)
-        v_i = PiecewisePowerSum.from_polys(
-            above.breakpoints, ({b: [c_i]}, *above.polys[1:])
-        )
-        thresholds.append(x_i)
-        c_stars.append(c_i)
-        values.append(v_i)
-        h_funcs.append(h_i)
+    i = 1
+    try:
+        x1, v1, h1 = solve_single(model)
+        thresholds = [x1]
+        values = [v1]
+        h_funcs = [h1]
+        deltas: list[float] = []
+        for i in range(2, n + 1):
+            d = delta(model, h_funcs[-1], thresholds[-1])
+            h_i = continuation_value(model, values[-1])
+            x_i = solve_threshold(model, d)
+            deltas.append(d)
+            thresholds.append(x_i)
+            values.append(threshold_form(h_i, x_i, b))
+            h_funcs.append(h_i)
+    except OverflowError as exc:
+        raise ArithmeticError(
+            f"float overflow in ladder stage {i}, which solves for x*_{i} "
+            f"and V^{i} ({exc})"
+        ) from exc
 
     ladder = ThresholdLadder(
         model=model,
         exponents=exps,
         n=n,
         thresholds=tuple(thresholds),
-        c_stars=tuple(c_stars),
+        # A coefficient dropped as negligible reads 0, as V^i carries it.
+        c_stars=tuple(v.polys[0].get(b, [0.0])[0] for v in values),
         values=tuple(values),
         h_funcs=tuple(h_funcs),
         deltas=tuple(deltas),
@@ -222,6 +222,15 @@ def _truncate_below(f: PiecewisePowerSum, cut: float) -> PiecewisePowerSum:
     """f on (cut, inf), zero on (0, cut]; cut becomes the first breakpoint."""
     j = bisect_right(f.breakpoints, cut)
     return PiecewisePowerSum.from_polys((cut, *f.breakpoints[j:]), ({}, *f.polys[j:]))
+
+
+def threshold_form(f: PiecewisePowerSum, cut: float, e: float) -> PiecewisePowerSum:
+    """c x^e on (0, cut] and f above, with c = f(cut) / cut^e so that the
+    result is continuous at cut."""
+    above = _truncate_below(f, cut)
+    return PiecewisePowerSum.from_polys(
+        above.breakpoints, ({e: [f(cut) / cut**e]}, *above.polys[1:])
+    )
 
 
 def _assert_invariants(ladder: ThresholdLadder, x_hat: float) -> None:
@@ -284,8 +293,8 @@ def check_ratio_monotonicity(
     with the worst increase and its location.
     """
     exps = derive_exponents(model)
-    x_hat = exps.beta / (exps.beta - 1.0) * model.strike
-    x1 = exps.b / (exps.b - 1.0) * model.strike
+    x_hat = perpetual_call_threshold(exps.beta, model.strike)
+    x1 = perpetual_call_threshold(exps.b, model.strike)
     grid = np.geomspace(x_hat / 10.0, 10.0 * x1, n_points)
     if v_prev.is_zero():
         ratio = np.zeros_like(grid)

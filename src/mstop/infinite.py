@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
+from mstop.finite import perpetual_call_threshold, threshold_form
 from mstop.model import Exponents, GbmModel, derive_exponents, require_valid
 from mstop.powerfn import (
     PiecewisePowerSum,
@@ -59,8 +60,7 @@ class VerificationReport:
 
 def x_hat_infinite(model: GbmModel) -> float:
     """Threshold of the auxiliary (r + lam)-discounted stopping problem."""
-    beta = derive_exponents(model).beta
-    return beta / (beta - 1.0) * model.strike
+    return perpetual_call_threshold(derive_exponents(model).beta, model.strike)
 
 
 def solve_auxiliary(model: GbmModel) -> tuple[float, PiecewisePowerSum]:
@@ -70,17 +70,9 @@ def solve_auxiliary(model: GbmModel) -> tuple[float, PiecewisePowerSum]:
     ((x_hat - K) / x_hat^beta) x^beta below.
     """
     require_valid(model)
-    exps = derive_exponents(model)
-    x_hat = exps.beta / (exps.beta - 1.0) * model.strike
-    c_hat = (x_hat - model.strike) / x_hat**exps.beta
-    v_hat = PiecewisePowerSum(
-        (x_hat,),
-        (
-            (PowerTerm(c_hat, exps.beta),),
-            (PowerTerm(1.0, 1.0), PowerTerm(-model.strike, 0.0)),
-        ),
-    )
-    return x_hat, v_hat
+    beta = derive_exponents(model).beta
+    x_hat = perpetual_call_threshold(beta, model.strike)
+    return x_hat, threshold_form(call_payoff(model.strike), x_hat, beta)
 
 
 def riesz_density(model: GbmModel, x_hat: float) -> PiecewisePowerSum:

@@ -34,15 +34,12 @@ class PolicySpec:
 
     thresholds: tuple[float, ...]
     x0: float
-    horizon_cap: float | None = None
 
     def __post_init__(self) -> None:
         if self.x0 <= 0.0:
             raise ValueError(f"x0 must be positive, got {self.x0}")
         if not self.thresholds or any(t <= 0.0 for t in self.thresholds):
             raise ValueError(f"thresholds must be positive: {self.thresholds}")
-        if self.horizon_cap is not None and self.horizon_cap <= 0.0:
-            raise ValueError("horizon_cap must be positive when given")
 
     @property
     def n_rights(self) -> int:
@@ -85,12 +82,18 @@ def sample_first_passage(
     lvl_arr = np.asarray(level, dtype=float)
     if np.any(x_arr > lvl_arr):
         raise ValueError("x must not exceed level (exercise immediately instead)")
-    d = np.log(lvl_arr / x_arr)
     scalar = x_arr.ndim == 0
-    d = np.atleast_1d(d)
-    tau = _ig_sample(d / nu, d * d / (model.sigma**2), rng, d.shape)
-    tau = np.where(d > 0.0, tau, 0.0)
+    tau = _passage_time(np.atleast_1d(np.log(lvl_arr / x_arr)), model, rng)
     return float(tau[0]) if scalar else tau
+
+
+def _passage_time(
+    d: npt.NDArray[np.float64], model: GbmModel, rng: np.random.Generator
+) -> npt.NDArray[np.float64]:
+    """Inverse-Gaussian hitting times of log distances d >= 0; 0 where d is 0."""
+    nu = model.net_drift
+    tau = _ig_sample(d / nu, d * d / (model.sigma * model.sigma), rng, d.shape)
+    return np.where(d > 0.0, tau, 0.0)
 
 
 def _ig_sample(
@@ -131,21 +134,15 @@ def _simulate_block(
     t = np.zeros(n)
     total = np.zeros(n)
     exercised = np.zeros(n, dtype=np.int64)
-    cap = policy.horizon_cap
 
     for rights in range(policy.n_rights, 0, -1):
         level = policy.thresholds[rights - 1]
         # Exercise point: the threshold if approached from below, the
         # current state if the refraction refresh landed above it.
         hit_x = np.maximum(x, level)
-        d = np.log(hit_x / x)
-        tau = _ig_sample(d / nu, d * d / (sig * sig), rng, x.shape)
-        tau = np.where(d > 0.0, tau, 0.0)
-        t_ex = t + tau
-        alive = np.ones(n, dtype=bool) if cap is None else (t_ex <= cap)
-        disc = np.exp(-model.r * t_ex[alive])
-        total[alive] += disc * (hit_x[alive] - k)
-        exercised[alive] += 1
+        t_ex = t + _passage_time(np.log(hit_x / x), model, rng)
+        total += np.exp(-model.r * t_ex) * (hit_x - k)
+        exercised += 1
         if rights > 1:
             wait = rng.exponential(1.0 / model.lam, n)
             z = rng.standard_normal(n)

@@ -37,9 +37,6 @@ EXPONENT_MERGE_TOL = 1e-12
 # Coefficients below this magnitude are dropped.
 COEF_DROP_TOL = 1e-300
 
-# A term map sends (exponent, log_power) to a coefficient; it is the flat
-# form of one piece, as accepted and returned by the adapters below.
-TermMap = dict[tuple[float, int], float]
 # One piece keyed by exponent: p -> [c_0, ..., c_K] for x^p * sum_k c_k ln^k x.
 Poly = dict[float, list[float]]
 
@@ -171,9 +168,9 @@ class PiecewisePowerSum:
 
     Pieces cover (0, x_1], (x_1, x_2], ..., (x_m, inf).  `polys[j]` is piece
     j keyed by exponent; results of the algebra share these dicts and lists,
-    so they must not be mutated.  The constructor takes PowerTerms and
-    canonicalizes them; `pieces`, `term_maps()` and `to_json_dict()` are
-    term views built on demand.
+    so they must not be mutated.  `polys` is the only stored form: the
+    constructor and `from_json_dict` take PowerTerms and canonicalize them
+    into it, and `to_json_dict()` lists its terms.
     """
 
     __slots__ = ("breakpoints", "polys")
@@ -210,9 +207,6 @@ class PiecewisePowerSum:
 
     # -- evaluation ---------------------------------------------------------
 
-    def piece_index(self, x: float) -> int:
-        return bisect_left(self.breakpoints, x)
-
     def __call__(self, x: float) -> float:
         if x <= 0.0:
             raise ValueError(f"x must be positive, got {x}")
@@ -247,22 +241,6 @@ class PiecewisePowerSum:
 
     # -- structure ----------------------------------------------------------
 
-    @property
-    def pieces(self) -> tuple[tuple[PowerTerm, ...], ...]:
-        """Nonnegligible terms of each piece, sorted by (exponent, log power)."""
-        return tuple(
-            tuple(
-                PowerTerm(c, p, k)
-                for p in sorted(poly)
-                for k, c in enumerate(poly[p])
-                if abs(c) > COEF_DROP_TOL
-            )
-            for poly in self.polys
-        )
-
-    def term_maps(self) -> list[TermMap]:
-        return [{(t.exponent, t.log_power): t.coef for t in p} for p in self.pieces]
-
     def has_log_terms(self) -> bool:
         return any(len(cs) > 1 for poly in self.polys for cs in poly.values())
 
@@ -272,27 +250,26 @@ class PiecewisePowerSum:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PiecewisePowerSum):
             return NotImplemented
-        return self.breakpoints == other.breakpoints and self.pieces == other.pieces
-
-    def __hash__(self) -> int:
-        return hash((self.breakpoints, self.pieces))
+        return self.to_json_dict() == other.to_json_dict()
 
     def __repr__(self) -> str:
-        return f"PiecewisePowerSum(breakpoints={self.breakpoints}, pieces={self.pieces})"
+        return f"PiecewisePowerSum(breakpoints={self.breakpoints}, polys={self.polys})"
 
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """Nonnegligible terms of each piece, sorted by (exponent, log power);
+        "logpow" is omitted when it is 0."""
         return {
             "breakpoints": list(self.breakpoints),
             "pieces": [
                 [
-                    {"coef": t.coef, "exp": t.exponent}
-                    if t.log_power == 0
-                    else {"coef": t.coef, "exp": t.exponent, "logpow": t.log_power}
-                    for t in piece
+                    {"coef": c, "exp": p, "logpow": k} if k else {"coef": c, "exp": p}
+                    for p in sorted(poly)
+                    for k, c in enumerate(poly[p])
+                    if abs(c) > COEF_DROP_TOL
                 ]
-                for piece in self.pieces
+                for poly in self.polys
             ],
         }
 
@@ -329,41 +306,6 @@ def call_payoff(strike: float) -> PiecewisePowerSum:
     )
 
 
-# -- term-map adapters ------------------------------------------------------------
-
-
-def _poly_of(terms: Mapping[tuple[float, int], float]) -> Poly:
-    poly: Poly = {}
-    for (p, k), c in terms.items():
-        _add_coef(poly, p, k, c)
-    return poly
-
-
-def antiderivative_map(terms: Mapping[tuple[float, int], float]) -> TermMap:
-    """Exact antiderivative of a power-log term map.
-
-    For p != -1 the exponent rises to p + 1 with the same top log power; for
-    p == -1, int x^{-1} ln^k dx = ln^{k+1} x / (k+1).
-    """
-    out: TermMap = {}
-    for p, cs in _poly_of(terms).items():
-        s = p + 1.0
-        for k, d in enumerate(_antiderivative(s, cs)):
-            if d != 0.0:
-                out[(s, k)] = out.get((s, k), 0.0) + d
-    return out
-
-
-def definite_integral(
-    terms: Mapping[tuple[float, int], float], lo: float, hi: float
-) -> float:
-    """Integral of a term map over (lo, hi]; hi may be math.inf when every
-    antiderivative term vanishes there (strictly negative exponents)."""
-    return sum(
-        power_log_integral(p + 1.0, cs, lo, hi) for p, cs in _poly_of(terms).items()
-    )
-
-
 # -- public operations --------------------------------------------------------
 
 
@@ -387,10 +329,6 @@ def combine(
     return PiecewisePowerSum.from_polys(bps, polys)
 
 
-def scale(f: PiecewisePowerSum, c: float) -> PiecewisePowerSum:
-    return combine(f, zero(), c, 0.0)
-
-
 def ratio_derivative(f: PiecewisePowerSum, p: float) -> PiecewisePowerSum:
     """Exact derivative of x -> f(x) / x^p.
 
@@ -404,11 +342,6 @@ def ratio_derivative(f: PiecewisePowerSum, p: float) -> PiecewisePowerSum:
             _axpy(m, {q - p - 1.0: ratio_coefs(q - p, cs)}, 1.0)
         polys.append(m)
     return PiecewisePowerSum.from_polys(f.breakpoints, polys)
-
-
-def derivative(f: PiecewisePowerSum) -> PiecewisePowerSum:
-    """Exact derivative f'(x) (ratio derivative with p = 0)."""
-    return ratio_derivative(f, 0.0)
 
 
 def generator_apply(f: PiecewisePowerSum, model: GbmModel) -> PiecewisePowerSum:

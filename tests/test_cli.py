@@ -69,6 +69,27 @@ def test_solve_invalid_model_exit_2(capsys):
     assert error["exit_code"] == 2
 
 
+def test_solve_overflow_names_stage_exit_3(capsys):
+    # The resolvent of V^2 overflows a float while stage 3 builds H^3.
+    code, out, err = run_cli(
+        capsys,
+        "solve",
+        "--mu",
+        "0.0020183",
+        "--sigma",
+        "0.056709",
+        "--rate",
+        "0.0020260",
+        "--lambda",
+        "3.1498",
+        "--strike",
+        "11.499",
+    )
+    assert code == 3 and out == ""
+    error = json.loads(err)
+    assert "overflow in ladder stage 3" in error["error"] and error["exit_code"] == 3
+
+
 def test_solve_text_format_six_decimals(capsys):
     code, out, _ = run_cli(
         capsys, "solve", "--rights", "1", "--x0", "2", "--format", "text"
@@ -243,6 +264,7 @@ def test_curve_writes_file(tmp_path, capsys):
         ("table", "--format", "csv"),
         ("verify", "--format", "csv"),
         ("table", "--mu", "0.01"),
+        ("table", "--config", "mstop.ini"),
     ],
 )
 def test_unused_flags_rejected_exit_2(capsys, argv):
@@ -288,6 +310,14 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert json.loads(out)["model"]["mu"] == 0.01
 
 
+def test_config_after_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "mstop.ini"
+    cfg.write_text("mu = 0.009\n")
+    code, out, _ = run_cli(capsys, "solve", "--rights", "1", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["model"]["mu"] == 0.009
+
+
 def test_config_env_var(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "env.ini"
     cfg.write_text("strike = 3.0\n")
@@ -327,6 +357,15 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     cfg = tmp_path / "typo.ini"
     cfg.write_text("lam = 0.2\n")
     code, out, err = run_cli(capsys, "--config", str(cfg), "solve", "--rights", "1")
+    assert code == 2 and out == ""
+    assert "unknown config key(s) lam" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("curve", "--grid", "1:2:2")])
+def test_config_after_subcommand_is_read(tmp_path, capsys, argv):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text("lam = 0.2\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
     assert code == 2 and out == ""
     assert "unknown config key(s) lam" in json.loads(err)["error"]
 

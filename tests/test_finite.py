@@ -1,5 +1,6 @@
 import math
 import subprocess
+from bisect import bisect_right
 
 import mpmath
 import numpy as np
@@ -67,8 +68,7 @@ def test_continuation_leading_linear_coefficient():
     # 1 + lam/(r + lam - mu).
     _, v1, _ = solve_single(REF_MODEL)
     h2 = continuation_value(REF_MODEL, v1)
-    top = h2.term_maps()[-1]
-    linear = next(c for (p, k), c in top.items() if k == 0 and abs(p - 1.0) < 1e-9)
+    linear = h2.polys[-1][1.0][0]
     expected = 1.0 + REF_MODEL.lam / (REF_MODEL.r + REF_MODEL.lam - REF_MODEL.mu)
     assert linear == pytest.approx(expected, rel=1e-12)
 
@@ -182,6 +182,16 @@ def test_ladder_rejects_no_rights():
         solve_ladder(REF_MODEL, 0)
 
 
+def test_ladder_overflow_names_its_stage():
+    model = GbmModel(
+        mu=0.0020183, sigma=0.056709, r=0.0020260, lam=3.1498, strike=11.499
+    )
+    with pytest.raises(ArithmeticError, match="stage 3") as exc:
+        solve_ladder(model, 5)
+    assert not isinstance(exc.value, OverflowError)
+    assert isinstance(exc.value.__cause__, OverflowError)
+
+
 def test_ladder_exponents_are_structural():
     # Every term of V^i and H^i is x^p poly(ln x) with p one of five
     # exponents, bit for bit: the algebra carries exponents through the
@@ -190,7 +200,7 @@ def test_ladder_exponents_are_structural():
     e = ladder.exponents
     allowed = {0.0, 1.0, e.b, e.beta, e.alpha}
     for f in (*ladder.values, *ladder.h_funcs):
-        assert {t.exponent for piece in f.pieces for t in piece} <= allowed
+        assert {p for poly in f.polys for p in poly} <= allowed
 
 
 def test_ladder_sixty_rights_approaches_infinite_limit():
@@ -227,6 +237,19 @@ def test_value_equals_h_above_threshold(ladder5):
     for v, h, x_i in zip(ladder5.values, ladder5.h_funcs, ladder5.thresholds):
         for x in (x_i * 1.001, x_i * 2.0, x_i * 7.0):
             assert v(x) == pytest.approx(h(x), rel=1e-12)
+
+
+def test_values_are_threshold_forms():
+    # V^i is c*_i x^b on (0, x*_i] and, piece for piece, H^i above x*_i.
+    ladder = solve_ladder(REF_MODEL, 20)
+    b = ladder.exponents.b
+    for v, h, x_i, c_i in zip(
+        ladder.values, ladder.h_funcs, ladder.thresholds, ladder.c_stars
+    ):
+        assert v.polys[0] == {b: [c_i]}
+        j = bisect_right(h.breakpoints, x_i)
+        assert v.breakpoints == (x_i, *h.breakpoints[j:])
+        assert v.polys[1:] == h.polys[j:]
 
 
 def test_superadditivity(ladder5):

@@ -124,15 +124,6 @@ def test_policy_mean_bounded_by_value(ladder5):
     assert est.exercised_counts == {5: 200_000}
 
 
-def test_horizon_cap_abandons_rights():
-    x1 = x_star_single(REF_MODEL)
-    policy = PolicySpec(thresholds=(x1,), x0=2.0, horizon_cap=1.0)
-    est = simulate_policy(REF_MODEL, policy, 20_000, seed=3)
-    # Reaching a 66% higher level within one year is rare.
-    assert est.exercised_counts.get(0, 0) > 10_000
-    assert est.mean < ORACLE["v1_at_2"]
-
-
 def test_dominance_scan_validation(ladder5):
     with pytest.raises(ValueError):
         policy_dominance_scan(

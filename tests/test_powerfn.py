@@ -9,13 +9,12 @@ from mstop.powerfn import (
     DivergenceError,
     PiecewisePowerSum,
     PowerTerm,
-    antiderivative_map,
     call_payoff,
     combine,
     constant,
-    definite_integral,
     generator_apply,
     monomial,
+    power_log_integral,
     ratio_derivative,
     resolvent_apply,
     zero,
@@ -70,9 +69,9 @@ def test_canonicalization_merges_and_sorts():
         (),
         ((PowerTerm(1.0, 2.0), PowerTerm(0.5, 2.0 + 1e-14), PowerTerm(3.0, 1.0)),),
     )
-    terms = f.pieces[0]
-    assert len(terms) == 2
-    assert terms[0].exponent == 1.0 and terms[1].coef == pytest.approx(1.5)
+    (poly,) = f.polys
+    assert list(poly) == [1.0, 2.0]
+    assert poly[1.0] == [3.0] and poly[2.0] == [pytest.approx(1.5)]
 
 
 def test_canonicalization_drops_zero_coefficients():
@@ -104,7 +103,7 @@ def test_combine_adds_coefficients():
     f = monomial(1.0, 1.0)
     g = monomial(1.0, 1.0)
     s = combine(f, g)
-    assert s.pieces == ((PowerTerm(2.0, 1.0),),)
+    assert s.polys == ({1.0: [2.0]},)
 
 
 def test_combine_merges_breakpoints():
@@ -126,7 +125,7 @@ def test_ratio_derivative_of_matching_power_is_zero():
 def test_ratio_derivative_power_rule():
     b = derive_exponents(REF_MODEL).b
     d = ratio_derivative(monomial(1.0, 1.0), b)
-    assert d.pieces == ((PowerTerm(1.0 - b, -b),),)
+    assert d.polys == ({-b: [1.0 - b]},)
 
 
 def test_ratio_derivative_first_order_condition():
@@ -149,25 +148,26 @@ def test_ratio_derivative_log_terms():
 
 
 def test_antiderivative_log_branch():
-    # int x^{-1} ln^2 x dx = ln^3 x / 3.
-    anti = antiderivative_map({(-1.0, 2): 1.0})
-    assert anti == {(0.0, 3): pytest.approx(1.0 / 3.0)}
+    # int x^{-1} ln^2 x dx = ln^3 x / 3: the s == 0 branch.
+    for lo, hi in ((0.5, 3.0), (1.0, 7.0)):
+        got = power_log_integral(0.0, [0.0, 0.0, 1.0], lo, hi)
+        assert got == pytest.approx((math.log(hi) ** 3 - math.log(lo) ** 3) / 3.0)
 
 
 def test_antiderivative_power_log_formula():
-    # Differentiate the antiderivative of x^2 ln x numerically.
-    anti = antiderivative_map({(2.0, 1): 1.0})
-    f = PiecewisePowerSum((), (tuple(PowerTerm(c, p, k) for (p, k), c in anti.items()),))
-    for x in (0.7, 1.3, 4.0):
-        h = 1e-6 * x
-        num = (f(x + h) - f(x - h)) / (2 * h)
-        assert num == pytest.approx(x**2 * math.log(x), rel=1e-8, abs=1e-10)
+    # int x^2 ln x dx = x^3 (ln x / 3 - 1/9).
+    def anti(x):
+        return x**3 * (math.log(x) / 3.0 - 1.0 / 9.0)
+
+    for lo, hi in ((0.7, 1.3), (1.3, 4.0), (0.2, 4.0)):
+        got = power_log_integral(3.0, [0.0, 1.0], lo, hi)
+        assert got == pytest.approx(anti(hi) - anti(lo), rel=1e-13)
 
 
-def test_definite_integral_to_infinity_requires_decay():
-    assert definite_integral({(-3.0, 0): 2.0}, 1.0, math.inf) == pytest.approx(1.0)
+def test_power_log_integral_to_infinity_requires_decay():
+    assert power_log_integral(-2.0, [2.0], 1.0, math.inf) == pytest.approx(1.0)
     with pytest.raises(DivergenceError):
-        definite_integral({(1.0, 0): 1.0}, 1.0, math.inf)
+        power_log_integral(2.0, [1.0], 1.0, math.inf)
 
 
 # -- resolvent: closed-form examples ------------------------------------------
