@@ -29,7 +29,13 @@ import numpy as np
 
 from mstop.finite import solve_ladder
 from mstop.infinite import solve_infinite, x_hat_infinite
-from mstop.mc import PolicySpec, policy_dominance_scan, simulate_policy
+from mstop.mc import (
+    PolicySpec,
+    policy_dominance_scan,
+    require_perturbation,
+    require_workers,
+    simulate_policy,
+)
 from mstop.model import GbmModel, derive_exponents, require_valid
 from mstop.powerfn import call_payoff
 from mstop.resolvent_numeric import QuadSpec, quad_resolvent
@@ -276,6 +282,9 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
     if args.paths < 1000:
         raise ValueError(f"--paths must be >= 1000, got {args.paths}")
     _check_x0(args.x0)
+    require_workers(args.workers)
+    if args.perturb is not None:
+        require_perturbation(args.perturb)
     ladder = solve_ladder(model, args.rights)
     analytic = ladder.values[-1](args.x0)
     policy = PolicySpec(thresholds=ladder.thresholds, x0=args.x0)

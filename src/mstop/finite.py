@@ -27,6 +27,7 @@ import numpy.typing as npt
 from mstop.model import Exponents, GbmModel, derive_exponents, require_valid
 from mstop.powerfn import (
     PiecewisePowerSum,
+    Poly,
     call_payoff,
     combine,
     power_log_integral,
@@ -254,9 +255,8 @@ def _assert_invariants(ladder: ThresholdLadder, x_hat: float) -> None:
     for i, (v, h, x_i) in enumerate(
         zip(ladder.values, ladder.h_funcs, xs), start=1
     ):
-        if abs(v(x_i * (1 - 1e-12)) - v(x_i * (1 + 1e-12))) > 1e-8 * max(
-            1.0, abs(v(x_i))
-        ):
+        scale = max(1.0, abs(v(x_i)))
+        if abs(v(x_i * (1 - 1e-12)) - v(x_i * (1 + 1e-12))) > 1e-8 * scale:
             raise ArithmeticError(f"V^{i} discontinuous at its threshold")
         v_vals = v.evaluate_many(grid)
         h_vals = h.evaluate_many(grid)
@@ -267,9 +267,10 @@ def _assert_invariants(ladder: ThresholdLadder, x_hat: float) -> None:
             raise ArithmeticError(f"value monotonicity violated at i={i}")
         prev_vals = v_vals
         # Smooth fit at the boundary is expected but not guaranteed by the
-        # construction for i >= 2; degrade to a warning.
-        dv = _num_derivative_jump(v, x_i)
-        if abs(dv) > 1e-6 * max(1.0, abs(v(x_i))):
+        # construction for i >= 2; degrade to a warning.  V^i is c*_i x^b on
+        # (0, x*_i] and its next piece is H^i's, so the jump is exact.
+        dv = _slope(v.polys[1], x_i) - _slope(v.polys[0], x_i)
+        if abs(dv) > 1e-6 * scale:
             warnings.warn(
                 f"first-derivative mismatch {dv:.3e} at threshold {i}",
                 RuntimeWarning,
@@ -277,11 +278,19 @@ def _assert_invariants(ladder: ThresholdLadder, x_hat: float) -> None:
             )
 
 
-def _num_derivative_jump(f: PiecewisePowerSum, x: float) -> float:
-    h = 1e-7 * x
-    left = (f(x) - f(x - h)) / h
-    right = (f(x + h) - f(x)) / h
-    return right - left
+def _slope(poly: Poly, x: float) -> float:
+    """Derivative at x of one piece, sum over p of x^p C_p(ln x): each term
+    gives x^(p-1) (p C_p + C_p') at ln x, with C_p and C_p' by one Horner
+    pass."""
+    lx = math.log(x)
+    total = 0.0
+    for p, cs in poly.items():
+        acc = dacc = 0.0
+        for c in reversed(cs):
+            dacc = dacc * lx + acc
+            acc = acc * lx + c
+        total += (p * acc + dacc) * x ** (p - 1.0)
+    return total
 
 
 def check_ratio_monotonicity(

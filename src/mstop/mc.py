@@ -11,6 +11,16 @@ with an independent child of SeedSequence(seed).  Results for a given
 (seed, n_paths) are bit-identical regardless of worker count, and two
 policies simulated with the same seed share all random draws (common random
 numbers), because every block consumes draws in a fixed per-stage pattern.
+
+The dominance scan uses that pattern directly.  A variant that moves the
+threshold for i rights runs the same stages as the base policy while more
+than i rights remain, so each block runs the base policy once, keeps every
+stage's draws and its starting (x, t, total) state, and resumes each variant
+from the base state at the stage with i rights, replaying the kept draws.
+That is n(n+2) stage simulations per block instead of (2n+1)n, and one
+round of draws instead of 2n+1.  The report's means and standard errors are
+taken over whole columns, so the scan holds 2n+1 float64 arrays of n_paths
+each (base totals and one paired difference per variant).
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import numpy.typing as npt
@@ -25,6 +36,17 @@ import numpy.typing as npt
 from mstop.model import GbmModel, require_valid
 
 BLOCK_SIZE = 65536
+
+Array = npt.NDArray[np.float64]
+# Path state at the start of a stage: state x, elapsed time t, and the
+# discounted payoff total so far.
+State = tuple[Array, Array, Array]
+# One stage's draws: (z, u) for the first passage and, when rights remain
+# after this exercise, the refraction period `wait` and the lognormal factor
+# exp(nu wait + sigma sqrt(wait) z) that it moves the state by.  Draws do
+# not depend on the policy, so the scan computes them, the factor included,
+# once for all variants.
+Draws = tuple[Array, ...]
 
 
 @dataclass(frozen=True)
@@ -61,12 +83,22 @@ class McEstimate:
             raise ValueError("std_err must be nonnegative")
 
 
+def require_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def require_perturbation(perturbation: float) -> None:
+    if not (0.0 < perturbation <= 0.2):
+        raise ValueError(f"perturbation must be in (0, 0.2], got {perturbation}")
+
+
 def sample_first_passage(
-    x: float | npt.NDArray[np.float64],
-    level: float | npt.NDArray[np.float64],
+    x: float | Array,
+    level: float | Array,
     model: GbmModel,
     rng: np.random.Generator,
-) -> float | npt.NDArray[np.float64]:
+) -> float | Array:
     """Exact first passage time of X to `level` starting from x <= level.
 
     The log distance d = ln(level / x) is hit by a Brownian motion with
@@ -83,99 +115,139 @@ def sample_first_passage(
     if np.any(x_arr > lvl_arr):
         raise ValueError("x must not exceed level (exercise immediately instead)")
     scalar = x_arr.ndim == 0
-    tau = _passage_time(np.atleast_1d(np.log(lvl_arr / x_arr)), model, rng)
+    d = np.atleast_1d(np.log(lvl_arr / x_arr))
+    tau = _passage_time(d, model, *_ig_draws(rng, d.shape))
     return float(tau[0]) if scalar else tau
 
 
-def _passage_time(
-    d: npt.NDArray[np.float64], model: GbmModel, rng: np.random.Generator
-) -> npt.NDArray[np.float64]:
+def _ig_draws(
+    rng: np.random.Generator, size: int | tuple[int, ...]
+) -> tuple[Array, Array]:
+    """The standard normal and the uniform of one inverse-Gaussian draw."""
+    return rng.standard_normal(size), rng.random(size)
+
+
+def _passage_time(d: Array, model: GbmModel, z: Array, u: Array) -> Array:
     """Inverse-Gaussian hitting times of log distances d >= 0; 0 where d is 0."""
     nu = model.net_drift
-    tau = _ig_sample(d / nu, d * d / (model.sigma * model.sigma), rng, d.shape)
+    tau = _ig_transform(d / nu, d * d / (model.sigma * model.sigma), z, u)
     return np.where(d > 0.0, tau, 0.0)
 
 
-def _ig_sample(
-    mean: npt.NDArray[np.float64],
-    shape: npt.NDArray[np.float64],
-    rng: np.random.Generator,
-    size: tuple[int, ...],
-) -> npt.NDArray[np.float64]:
+def _ig_transform(mean: Array, shape: Array, z: Array, u: Array) -> Array:
     # Michael-Schucany-Haas transformation; degenerate entries (mean 0)
     # are masked out by the caller.
     mean = np.where(mean > 0.0, mean, 1.0)
     shape = np.where(shape > 0.0, shape, 1.0)
-    z = rng.standard_normal(size)
-    u = rng.random(size)
     y = z * z
     w = mean * y
     cand = mean + mean / (2.0 * shape) * (w - np.sqrt(w * (4.0 * shape + w)))
     return np.where(u <= mean / (mean + cand), cand, mean * mean / cand)
 
 
-def _simulate_block(
-    model: GbmModel,
-    policy: PolicySpec,
-    n: int,
-    rng: np.random.Generator,
-) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.int64]]:
-    """Per-path discounted payoff totals and exercised-rights counts.
+def _stage_draws(
+    model: GbmModel, rng: np.random.Generator, n: int, refresh: bool
+) -> Draws:
+    z, u = _ig_draws(rng, n)
+    if not refresh:
+        return z, u
+    wait = rng.exponential(1.0 / model.lam, n)
+    z_wait = rng.standard_normal(n)
+    growth = np.exp(model.net_drift * wait + model.sigma * np.sqrt(wait) * z_wait)
+    return z, u, wait, growth
 
-    Draws follow a fixed per-stage pattern (normal + uniform for the first
-    passage, exponential + normal for the refraction refresh) for every
-    path, so blocks with equal RNG state align draw-for-draw across policy
-    variants.
+
+def _stage(model: GbmModel, level: float, state: State, draws: Draws) -> State:
+    """Exercise one right at `level` and, if the draws carry a refresh, move
+    the state over the Exp(lam) refraction period that follows.
+
+    The exercise point is the threshold if approached from below, the
+    current state if the refraction refresh landed above it.  The input
+    arrays are not modified.
     """
-    nu = model.net_drift
-    sig = model.sigma
-    k = model.strike
-    x = np.full(n, policy.x0)
-    t = np.zeros(n)
-    total = np.zeros(n)
-    exercised = np.zeros(n, dtype=np.int64)
+    x, t, total = state
+    hit_x = np.maximum(x, level)
+    t_ex = t + _passage_time(np.log(hit_x / x), model, draws[0], draws[1])
+    total = total + np.exp(-model.r * t_ex) * (hit_x - model.strike)
+    if len(draws) == 2:
+        return hit_x, t_ex, total
+    wait, growth = draws[2], draws[3]
+    return hit_x * growth, t_ex + wait, total
 
+
+def _start(policy: PolicySpec, n: int) -> State:
+    return np.full(n, policy.x0), np.zeros(n), np.zeros(n)
+
+
+def _simulate_block(
+    model: GbmModel, policy: PolicySpec, n: int, rng: np.random.Generator
+) -> Array:
+    """Per-path discounted payoff totals; each stage draws just before it
+    runs, so blocks with equal RNG state align draw-for-draw across
+    policies."""
+    state = _start(policy, n)
     for rights in range(policy.n_rights, 0, -1):
-        level = policy.thresholds[rights - 1]
-        # Exercise point: the threshold if approached from below, the
-        # current state if the refraction refresh landed above it.
-        hit_x = np.maximum(x, level)
-        t_ex = t + _passage_time(np.log(hit_x / x), model, rng)
-        total += np.exp(-model.r * t_ex) * (hit_x - k)
-        exercised += 1
-        if rights > 1:
-            wait = rng.exponential(1.0 / model.lam, n)
-            z = rng.standard_normal(n)
-            x = hit_x * np.exp(nu * wait + sig * np.sqrt(wait) * z)
-            t = t_ex + wait
-    return total, exercised
+        draws = _stage_draws(model, rng, n, rights > 1)
+        state = _stage(model, policy.thresholds[rights - 1], state, draws)
+    return state[2]
 
 
-def _path_totals(
+def _scan_block(
     model: GbmModel,
     policy: PolicySpec,
+    variants: list[tuple[int, str, tuple[float, ...]]],
+    out: Array,
+    rng: np.random.Generator,
+) -> None:
+    """Write the base totals to out[0] and, for variant j = (i, direction,
+    thresholds), the paired differences base - variant to out[1 + j].  The
+    variant departs from the base at the stage with i rights and replays the
+    base's draws from there."""
+    n_rights, n = policy.n_rights, out.shape[1]
+    starts: list[State] = []
+    draws: list[Draws] = []
+    state = _start(policy, n)
+    # starts[k] and draws[k] belong to the stage with n_rights - k rights.
+    for rights in range(n_rights, 0, -1):
+        starts.append(state)
+        draws.append(_stage_draws(model, rng, n, rights > 1))
+        state = _stage(model, policy.thresholds[rights - 1], state, draws[-1])
+    out[0] = state[2]
+    for j, (i, _, thresholds) in enumerate(variants, start=1):
+        state = starts[n_rights - i]
+        for rights in range(i, 0, -1):
+            stage_draws = draws[n_rights - rights]
+            state = _stage(model, thresholds[rights - 1], state, stage_draws)
+        np.subtract(out[0], state[2], out=out[j])
+
+
+def _for_blocks(
+    run: Callable[[slice, np.random.Generator], None],
     n_paths: int,
     seed: int,
-    workers: int = 1,
-) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.int64]]:
-    sizes = [BLOCK_SIZE] * (n_paths // BLOCK_SIZE)
-    if n_paths % BLOCK_SIZE:
-        sizes.append(n_paths % BLOCK_SIZE)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-
-    def run(args: tuple[int, np.random.SeedSequence]) -> tuple:
-        size, child = args
-        return _simulate_block(model, policy, size, np.random.default_rng(child))
-
-    jobs = list(zip(sizes, children))
+    workers: int,
+) -> None:
+    """run(sl, rng) on every block, where sl is the block's slice of the
+    n_paths paths and rng is seeded by the child of SeedSequence(seed) for
+    the block's position."""
+    starts = range(0, n_paths, BLOCK_SIZE)
+    children = np.random.SeedSequence(seed).spawn(len(starts))
+    jobs = [
+        (slice(lo, min(lo + BLOCK_SIZE, n_paths)), np.random.default_rng(child))
+        for lo, child in zip(starts, children)
+    ]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
+            list(pool.map(lambda job: run(*job), jobs))
     else:
-        results = [run(j) for j in jobs]
-    totals = np.concatenate([r[0] for r in results])
-    counts = np.concatenate([r[1] for r in results])
-    return totals, counts
+        for job in jobs:
+            run(*job)
+
+
+def _mean_se(values: Array) -> tuple[float, float]:
+    n = values.size
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(values.mean()), se
 
 
 def simulate_policy(
@@ -185,16 +257,28 @@ def simulate_policy(
     seed: int,
     workers: int = 1,
 ) -> McEstimate:
-    """Estimate the expected discounted total payoff of a threshold policy."""
+    """Estimate the expected discounted total payoff of a threshold policy.
+
+    Every path exercises all of its rights (hitting times are a.s. finite),
+    so `exercised_counts` is {n_rights: n_paths}.
+    """
     require_valid(model, require_positive_net_drift=True)
+    require_workers(workers)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    totals, counts = _path_totals(model, policy, n_paths, seed, workers)
-    mean = float(totals.mean())
-    std_err = float(totals.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    hist = {int(c): int(m) for c, m in zip(*np.unique(counts, return_counts=True))}
+    totals = np.empty(n_paths)
+
+    def run(sl: slice, rng: np.random.Generator) -> None:
+        totals[sl] = _simulate_block(model, policy, sl.stop - sl.start, rng)
+
+    _for_blocks(run, n_paths, seed, workers)
+    mean, std_err = _mean_se(totals)
     return McEstimate(
-        mean=mean, std_err=std_err, n_paths=n_paths, seed=seed, exercised_counts=hist
+        mean=mean,
+        std_err=std_err,
+        n_paths=n_paths,
+        seed=seed,
+        exercised_counts={policy.n_rights: n_paths},
     )
 
 
@@ -213,44 +297,54 @@ def policy_dominance_scan(
     Each threshold is shifted by +/- perturbation (relative) in turn; for
     every variant the report carries the paired mean difference
     (optimal - variant), its standard error, and whether the variant beats
-    the base policy by more than 3 joint standard errors.
+    the base policy by more than 3 joint standard errors.  Every variant
+    resumes from the base policy's stage state and replays its draws (see
+    the module docstring), which gives the same paths as simulating it with
+    the same seed from the start.
     """
-    if not (0.0 < perturbation <= 0.2):
-        raise ValueError(f"perturbation must be in (0, 0.2], got {perturbation}")
+    require_perturbation(perturbation)
     require_valid(model, require_positive_net_drift=True)
+    require_workers(workers)
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     base_policy = PolicySpec(thresholds=thresholds, x0=x0)
-    base_tot, _ = _path_totals(model, base_policy, n_paths, seed, workers)
-    variants: list[dict] = []
-    dominated = True
-    for i in range(len(thresholds)):
-        for sign in (+1.0, -1.0):
+    variants: list[tuple[int, str, tuple[float, ...]]] = []
+    for i in range(1, len(thresholds) + 1):
+        for sign, direction in ((+1.0, "+"), (-1.0, "-")):
             shifted = list(thresholds)
-            shifted[i] = shifted[i] * (1.0 + sign * perturbation)
-            var_policy = PolicySpec(thresholds=tuple(shifted), x0=x0)
-            var_tot, _ = _path_totals(model, var_policy, n_paths, seed, workers)
-            diff = base_tot - var_tot
-            mean_diff = float(diff.mean())
-            se_diff = (
-                float(diff.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-            )
-            beats = mean_diff < -3.0 * se_diff
-            dominated = dominated and not beats
-            variants.append(
-                {
-                    "index": i + 1,
-                    "direction": "+" if sign > 0 else "-",
-                    "threshold": shifted[i],
-                    "mean_diff": mean_diff,
-                    "se_diff": se_diff,
-                    "variant_beats_base": beats,
-                }
-            )
+            shifted[i - 1] = shifted[i - 1] * (1.0 + sign * perturbation)
+            variants.append((i, direction, tuple(shifted)))
+
+    # Row 0 holds the base totals, row 1 + j the differences for variant j.
+    columns = np.empty((1 + len(variants), n_paths))
+
+    def run(sl: slice, rng: np.random.Generator) -> None:
+        _scan_block(model, base_policy, variants, columns[:, sl], rng)
+
+    _for_blocks(run, n_paths, seed, workers)
+    rows: list[dict] = []
+    dominated = True
+    for (i, direction, shifted), diff in zip(variants, columns[1:]):
+        mean_diff, se_diff = _mean_se(diff)
+        beats = mean_diff < -3.0 * se_diff
+        dominated = dominated and not beats
+        rows.append(
+            {
+                "index": i,
+                "direction": direction,
+                "threshold": shifted[i - 1],
+                "mean_diff": mean_diff,
+                "se_diff": se_diff,
+                "variant_beats_base": beats,
+            }
+        )
+    base_mean, base_se = _mean_se(columns[0])
     return {
-        "base_mean": float(base_tot.mean()),
-        "base_se": float(base_tot.std(ddof=1) / math.sqrt(n_paths)),
+        "base_mean": base_mean,
+        "base_se": base_se,
         "perturbation": perturbation,
         "n_paths": n_paths,
         "seed": seed,
-        "variants": variants,
+        "variants": rows,
         "base_dominates": dominated,
     }

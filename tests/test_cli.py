@@ -205,6 +205,21 @@ def test_verify_with_perturb_reports_dominance(capsys):
     assert len(report["dominance"]["variants"]) == 4
 
 
+@pytest.mark.parametrize(
+    "argv", [("--perturb", "0.5"), ("--workers", "0"), ("--workers", "-3")]
+)
+def test_verify_bad_mc_args_exit_2_before_solving(capsys, monkeypatch, argv):
+    # A bad --perturb or --workers is reported before any ladder solve or
+    # simulation starts.
+    def no_solve(*_):
+        raise AssertionError("solved before checking the MC arguments")
+
+    monkeypatch.setattr("mstop.cli.solve_ladder", no_solve)
+    code, out, err = run_cli(capsys, "verify", "--paths", "1000000", *argv)
+    assert code == 2 and out == ""
+    assert argv[0].lstrip("-") in json.loads(err)["error"]
+
+
 # -- curve --------------------------------------------------------------------
 
 

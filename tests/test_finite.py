@@ -1,5 +1,6 @@
 import math
 import subprocess
+import warnings
 from bisect import bisect_right
 
 import mpmath
@@ -250,6 +251,28 @@ def test_values_are_threshold_forms():
         j = bisect_right(h.breakpoints, x_i)
         assert v.breakpoints == (x_i, *h.breakpoints[j:])
         assert v.polys[1:] == h.polys[j:]
+
+
+def test_piece_slope_matches_ratio_derivative():
+    # The smooth-fit check differentiates the two pieces next to x*_i in
+    # one Horner pass; ratio_derivative(v, 0) is the same derivative built
+    # as a function.
+    ladder = solve_ladder(REF_MODEL, 20)
+    for v, x_i in zip(ladder.values, ladder.thresholds):
+        dv = ratio_derivative(v, 0.0)
+        y = x_i * (1.0 + 1e-9)
+        assert finite._slope(v.polys[0], x_i) == pytest.approx(dv(x_i), rel=1e-12)
+        assert finite._slope(v.polys[1], y) == pytest.approx(dv(y), rel=1e-12)
+
+
+def test_smooth_fit_check_raises_no_false_warning():
+    # At thresholds 6-10 of this ladder, one-sided differences with step
+    # 1e-7 x put the derivative jump at about 1.1e-6, above the 1e-6 bound;
+    # the exact jump from the pieces on either side of x*_i is below 1e-13.
+    model = GbmModel(mu=0.0054740, sigma=0.051098, r=0.055040, lam=0.29510, strike=0.81862)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        solve_ladder(model, 10)
 
 
 def test_superadditivity(ladder5):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -139,6 +140,94 @@ def test_dominance_scan_small(ladder5):
     assert len(report["variants"]) == 10
     for variant in report["variants"]:
         assert not variant["variant_beats_base"]
+
+
+def _full_simulation(model, thresholds, x0, n_paths, seed):
+    """Per-path totals of one policy simulated from the start, every stage
+    drawing its own numbers in the fixed per-block pattern: the scan must
+    reproduce these path for path."""
+    nu, sig = model.net_drift, model.sigma
+    sizes = [65536] * (n_paths // 65536) + ([n_paths % 65536] if n_paths % 65536 else [])
+    blocks = []
+    for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        rng = np.random.default_rng(child)
+        x, t, total = np.full(size, x0), np.zeros(size), np.zeros(size)
+        for rights in range(len(thresholds), 0, -1):
+            hit_x = np.maximum(x, thresholds[rights - 1])
+            d = np.log(hit_x / x)
+            mean = d / nu
+            shape = d * d / (sig * sig)
+            mean = np.where(mean > 0.0, mean, 1.0)
+            shape = np.where(shape > 0.0, shape, 1.0)
+            z = rng.standard_normal(size)
+            u = rng.random(size)
+            w = mean * (z * z)
+            cand = mean + mean / (2.0 * shape) * (w - np.sqrt(w * (4.0 * shape + w)))
+            tau = np.where(u <= mean / (mean + cand), cand, mean * mean / cand)
+            t_ex = t + np.where(d > 0.0, tau, 0.0)
+            total += np.exp(-model.r * t_ex) * (hit_x - model.strike)
+            if rights > 1:
+                wait = rng.exponential(1.0 / model.lam, size)
+                z = rng.standard_normal(size)
+                x = hit_x * np.exp(nu * wait + sig * np.sqrt(wait) * z)
+                t = t_ex + wait
+        blocks.append(total)
+    return np.concatenate(blocks)
+
+
+def test_scan_matches_full_resimulation(ladder5):
+    # One full block plus a 4464-path remainder.  Every variant resumes
+    # from the base's stage state; its paired differences must equal, bit
+    # for bit, those of a variant simulated from the start.
+    n_paths, seed = 70_000, 8
+    report = policy_dominance_scan(REF_MODEL, ladder5.thresholds, 2.0, 0.05, n_paths, seed)
+    base = _full_simulation(REF_MODEL, ladder5.thresholds, 2.0, n_paths, seed)
+    assert report["base_mean"] == float(base.mean())
+    assert report["base_se"] == float(base.std(ddof=1) / math.sqrt(n_paths))
+    assert [(v["index"], v["direction"]) for v in report["variants"]] == [
+        (i, d) for i in range(1, 6) for d in "+-"
+    ]
+    for v in report["variants"]:
+        i = v["index"]
+        factor = 1.05 if v["direction"] == "+" else 0.95
+        shifted = list(ladder5.thresholds)
+        shifted[i - 1] = shifted[i - 1] * factor
+        assert v["threshold"] == shifted[i - 1]
+        diff = base - _full_simulation(REF_MODEL, tuple(shifted), 2.0, n_paths, seed)
+        assert v["mean_diff"] == float(diff.mean())
+        assert v["se_diff"] == float(diff.std(ddof=1) / math.sqrt(n_paths))
+
+
+def test_scan_identical_across_workers(ladder5):
+    # Three blocks, each written by its own thread into one shared array;
+    # a short switch interval makes the threads interleave often.
+    args = (REF_MODEL, ladder5.thresholds, 2.0, 0.05, 140_000, 3)
+    serial = policy_dominance_scan(*args, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threaded = policy_dominance_scan(*args, workers=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_scan_base_is_simulate_policy(ladder5):
+    report = policy_dominance_scan(REF_MODEL, ladder5.thresholds, 2.0, 0.05, 70_000, 5)
+    est = simulate_policy(REF_MODEL, PolicySpec(ladder5.thresholds, 2.0), 70_000, seed=5)
+    assert report["base_mean"] == est.mean
+    assert report["base_se"] == est.std_err
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(ladder5, workers):
+    policy = PolicySpec(thresholds=ladder5.thresholds, x0=2.0)
+    with pytest.raises(ValueError, match="workers"):
+        simulate_policy(REF_MODEL, policy, 1000, seed=1, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        policy_dominance_scan(
+            REF_MODEL, ladder5.thresholds, 2.0, 0.05, 1000, seed=1, workers=workers
+        )
 
 
 def test_flat_policy_is_suboptimal(ladder5):
