@@ -58,10 +58,12 @@ class PolicySpec:
     x0: float
 
     def __post_init__(self) -> None:
-        if self.x0 <= 0.0:
-            raise ValueError(f"x0 must be positive, got {self.x0}")
-        if not self.thresholds or any(t <= 0.0 for t in self.thresholds):
-            raise ValueError(f"thresholds must be positive: {self.thresholds}")
+        if not (math.isfinite(self.x0) and self.x0 > 0.0):
+            raise ValueError(f"x0 must be positive and finite, got {self.x0}")
+        if not self.thresholds or not all(
+            math.isfinite(t) and t > 0.0 for t in self.thresholds
+        ):
+            raise ValueError(f"thresholds must be positive and finite: {self.thresholds}")
 
     @property
     def n_rights(self) -> int:
@@ -114,8 +116,9 @@ def sample_first_passage(
     lvl_arr = np.asarray(level, dtype=float)
     if np.any(x_arr > lvl_arr):
         raise ValueError("x must not exceed level (exercise immediately instead)")
-    scalar = x_arr.ndim == 0
-    d = np.atleast_1d(np.log(lvl_arr / x_arr))
+    d = np.log(lvl_arr / x_arr)
+    scalar = d.ndim == 0
+    d = np.atleast_1d(d)
     tau = _passage_time(d, model, *_ig_draws(rng, d.shape))
     return float(tau[0]) if scalar else tau
 

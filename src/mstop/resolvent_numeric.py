@@ -8,8 +8,33 @@ Evaluates R_q f(x) by adaptive quadrature of the integral representation
 Integration is performed in log coordinates (y = e^u), where products of
 power functions become exponentials — nearly polynomial over each block —
 and both infinite ends are truncated with measured-slope exponential tail
-bounds rather than fixed cutoffs.  This module shares no code with the
-algebraic resolvent, so agreement between the two is a meaningful check.
+bounds rather than fixed cutoffs.
+
+Each block is integrated by an embedded Clenshaw-Curtis pair: 33 nodes
+cos(j pi / 32) per interval, the 17 even-numbered ones forming the lower
+rule, and the difference of the two rules is the error estimate.  The rule
+is closed, so the estimate sees the integrand next to both edges of every
+interval and a jump there forces a bisection (an open rule such as
+Gauss-Kronrod misses a jump between an edge and its outermost node).  The
+two end nodes sit 1e-12 of the half-width inside the interval, so an edge
+sample at a cut reads the interval's own piece; moving them changes the
+rule by a relative amount of that order, far below the tolerances.
+Refinement is level by level: one bisection level of a block is a single
+call of the integrand on every interval not yet resolved.
+
+What the integrand `f` is taken to be:
+
+- If it has `breakpoints` (increasing positive points where it may jump or
+  kink), each block is cut at their logs, so every interval is smooth.
+- If it has `evaluate_many` (evaluation on an array of points), each level
+  calls it once; otherwise `f` is called once per point.
+- A plain callable without `breakpoints` is assumed piecewise smooth with
+  finitely many jumps or kinks.  Those are narrowed down by bisection until
+  the block's error budget covers them, which costs many more evaluations
+  than a declared cut.
+
+This module shares no code with the algebraic resolvent, so agreement
+between the two is a meaningful check.
 """
 
 from __future__ import annotations
@@ -18,12 +43,46 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
+import numpy as np
+import numpy.typing as npt
+
 from mstop.model import GbmModel, root_pair
+
+Array = npt.NDArray[np.float64]
 
 # Width of one integration block in log coordinates.
 _BLOCK_WIDTH = 2.0
 # Hard cap on the number of blocks walked toward either infinite end.
 _MAX_BLOCKS = 400
+# Hard cap on the intervals of one block that are refined together; beyond
+# it the integrand is not resolvable at any sane cost.
+_MAX_ACTIVE = 1024
+# Offset of the end nodes inside an interval, relative to its half-width.
+_EDGE_INSET = 1e-12
+
+
+def _clenshaw_curtis_weights(n: int) -> list[float]:
+    """Weights of the (n + 1)-point Clenshaw-Curtis rule on [-1, 1], n even
+    (symmetric, so in either order of the nodes cos(j pi / n))."""
+    weights = []
+    for j in range(n + 1):
+        s = sum(
+            (1.0 if 2 * k == n else 2.0) / (4 * k * k - 1) * math.cos(2 * math.pi * j * k / n)
+            for k in range(1, n // 2 + 1)
+        )
+        weights.append((1.0 if j in (0, n) else 2.0) / n * (1.0 - s))
+    return weights
+
+
+_NODES = np.array(
+    [-1.0 + _EDGE_INSET]
+    + [math.cos(math.pi * j / 32) for j in range(31, 0, -1)]
+    + [1.0 - _EDGE_INSET]
+)
+_WEIGHTS = np.array(_clenshaw_curtis_weights(32))
+# Full rule minus the 17-point rule on the even-numbered nodes.
+_ERR_WEIGHTS = _WEIGHTS.copy()
+_ERR_WEIGHTS[::2] -= _clenshaw_curtis_weights(16)
 
 
 @dataclass(frozen=True)
@@ -45,66 +104,68 @@ class QuadratureError(ArithmeticError):
     """Tolerance not reached or a divergent tail was detected."""
 
 
-def _adaptive_simpson(
-    g: Callable[[float], float],
-    a: float,
-    b: float,
-    eps: float,
-    max_depth: int,
-) -> float:
-    """Recursive adaptive Simpson with embedded-rule error estimation."""
-
-    def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(
-        lo: float,
-        hi: float,
-        flo: float,
-        fmid: float,
-        fhi: float,
-        whole: float,
-        eps_: float,
-        depth: int,
-    ) -> float:
-        mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = g(lm), g(rm)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        err = left + right - whole
-        if abs(err) <= 15.0 * eps_:
-            return left + right + err / 15.0
-        if hi - lo <= 1e-13 * max(abs(lo), abs(hi), 1.0):
-            # Width floor: a kink of the integrand (piece boundary) cannot
-            # be subdivided away; the residual here is below double noise.
-            return left + right + err / 15.0
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"tolerance not reached within depth {max_depth} on "
-                f"[{lo}, {hi}] (err {abs(err):.3e})"
-            )
-        return recurse(lo, mid, flo, flm, fmid, left, 0.5 * eps_, depth + 1) + recurse(
-            mid, hi, fmid, frm, fhi, right, 0.5 * eps_, depth + 1
-        )
-
-    fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, eps, 0)
-
-
 def _integrate_block(
-    g: Callable[[float], float], a: float, b: float, spec: QuadSpec
-) -> float:
-    crude = abs((b - a) * g(0.5 * (a + b)))
-    eps = max(spec.abs_tol, spec.rel_tol * crude)
-    return _adaptive_simpson(g, a, b, eps, spec.max_depth)
+    g: Callable[[Array], Array],
+    u: float,
+    u_next: float,
+    cuts: Array,
+    spec: QuadSpec,
+) -> tuple[float, float, float]:
+    """Integral of g over the block between u and u_next, cut at `cuts`,
+    with |g(u)| and |g(u_next)| taken from the same first call.
+
+    The block's error budget is max(abs_tol, rel_tol * int |g|).  An
+    interval is accepted when its error estimate is within its share of the
+    budget by width, or when what is left of the budget covers all open
+    intervals together.
+    """
+    a, b = min(u, u_next), max(u, u_next)
+    edges = np.concatenate(([a], cuts[(cuts > a) & (cuts < b)], [b]))
+    lo, hi = edges[:-1], edges[1:]
+    total, spent, eps = 0.0, 0.0, 0.0
+    for depth in range(spec.max_depth + 1):
+        half = 0.5 * (hi - lo)
+        mid = lo + half
+        points = (mid[:, None] + half[:, None] * _NODES).ravel()
+        if depth == 0:
+            values = g(np.append(points, (u, u_next)))
+            g_in, g_out = abs(float(values[-2])), abs(float(values[-1]))
+            values = values[:-2].reshape(lo.size, _NODES.size)
+            abs_integral = float((half * (np.abs(values) * _WEIGHTS).sum(axis=1)).sum())
+            eps = max(spec.abs_tol, spec.rel_tol * abs_integral)
+        else:
+            values = g(points).reshape(lo.size, _NODES.size)
+        est = half * (values * _WEIGHTS).sum(axis=1)
+        err = np.abs(half * (values * _ERR_WEIGHTS).sum(axis=1))
+        # Width floor: a kink of an undeclared piece boundary cannot be
+        # subdivided away; the residual there is below double noise.
+        done = (err <= eps * (hi - lo) / (b - a)) | (
+            hi - lo <= 1e-13 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+        )
+        if spent + float(err.sum()) <= eps:
+            done[:] = True  # what is left of the budget covers every interval
+        total += float(est[done].sum())
+        spent += float(err[done].sum())
+        if done.all():
+            return total, g_in, g_out
+        lo, mid, hi = lo[~done], mid[~done], hi[~done]
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        if lo.size > _MAX_ACTIVE:
+            raise QuadratureError(
+                f"more than {_MAX_ACTIVE} unresolved intervals on [{a}, {b}] "
+                f"at depth {depth + 1}"
+            )
+    raise QuadratureError(
+        f"tolerance not reached within depth {spec.max_depth} on [{a}, {b}] "
+        f"(err {float(err.max()):.3e})"
+    )
 
 
 def _walk_tail(
-    g: Callable[[float], float],
+    g: Callable[[Array], Array],
     start: float,
     direction: float,
+    cuts: Array,
     spec: QuadSpec,
 ) -> float:
     """Integrate g from `start` toward +/- infinity in log-coordinate blocks.
@@ -116,14 +177,8 @@ def _walk_tail(
     u = start
     for _ in range(_MAX_BLOCKS):
         u_next = u + direction * _BLOCK_WIDTH
-        a, b = min(u, u_next), max(u, u_next)
-        try:
-            total += _integrate_block(g, a, b, spec)
-            g_in, g_out = abs(g(u)), abs(g(u_next))
-        except OverflowError as exc:
-            raise QuadratureError(
-                f"divergent tail: integrand overflows near u={u_next}"
-            ) from exc
+        block, g_in, g_out = _integrate_block(g, u, u_next, cuts, spec)
+        total += block
         if g_out > g_in and g_out > 1e12:
             raise QuadratureError(
                 f"divergent tail detected at u={u_next} (|g|={g_out:.3e})"
@@ -137,8 +192,8 @@ def _walk_tail(
         elif g_out == 0.0:
             # Identically-zero stretch (e.g. payoff region ends); probe one
             # more block, then accept.
-            probe = abs(g(u_next + direction * _BLOCK_WIDTH))
-            if probe == 0.0:
+            probe = g(np.array([u_next + direction * _BLOCK_WIDTH]))
+            if probe[0] == 0.0:
                 return total
         u = u_next
     raise QuadratureError(
@@ -156,10 +211,12 @@ def quad_resolvent(
     """Resolvent R_q f(x) by adaptive quadrature of the representation.
 
     `f` must be evaluatable on (0, inf) with power-bounded growth below the
-    psi_q exponent at infinity and above the phi_q exponent at zero.
+    psi_q exponent at infinity and above the phi_q exponent at zero.  Its
+    optional `breakpoints` and `evaluate_many` are used as the module
+    docstring describes.
     """
-    if x <= 0.0:
-        raise ValueError(f"x must be positive, got {x}")
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"x must be positive and finite, got {x}")
     if spec is None:
         spec = QuadSpec()
     pq, mq = root_pair(model, q)
@@ -167,13 +224,22 @@ def quad_resolvent(
     tm = 2.0 * model.mu / s2 - 2.0
     b_q = pq - mq
     ux = math.log(x)
+    cuts = np.log(np.asarray(getattr(f, "breakpoints", ()), dtype=float))
+    many = getattr(f, "evaluate_many", None)
 
-    def lower_integrand(u: float) -> float:
-        # e^u (pq + tm + 1): psi_q * m' * Jacobian of y = e^u.
-        return math.exp(u * (pq + tm + 1.0)) * (2.0 / s2) * f(math.exp(u))
+    def integrand(power: float) -> Callable[[Array], Array]:
+        # e^(u power) (2 / s2) f(e^u): psi_q or phi_q, times m' and the
+        # Jacobian of y = e^u.
+        def g(u: Array) -> Array:
+            y = np.exp(u)
+            fy = many(y) if many is not None else [f(t) for t in y.tolist()]
+            values = np.exp(u * power) * (2.0 / s2) * np.asarray(fy, dtype=float)
+            if not np.isfinite(values).all():
+                bad = u[~np.isfinite(values)][0]
+                raise QuadratureError(f"non-finite integrand value at u={bad}")
+            return values
 
-    def upper_integrand(u: float) -> float:
-        return math.exp(u * (mq + tm + 1.0)) * (2.0 / s2) * f(math.exp(u))
+        return g
 
     # The two integrals are multiplied by x^mq / B_q and x^pq / B_q, which can
     # be large; tighten each walk's absolute tolerance by its prefactor so the
@@ -181,6 +247,10 @@ def quad_resolvent(
     w_lo, w_up = x**mq / b_q, x**pq / b_q
     spec_lo = replace(spec, abs_tol=spec.abs_tol / max(1.0, abs(w_lo)))
     spec_up = replace(spec, abs_tol=spec.abs_tol / max(1.0, abs(w_up)))
-    lower = _walk_tail(lower_integrand, ux, -1.0, spec_lo)
-    upper = _walk_tail(upper_integrand, ux, +1.0, spec_up)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            lower = _walk_tail(integrand(pq + tm + 1.0), ux, -1.0, cuts, spec_lo)
+            upper = _walk_tail(integrand(mq + tm + 1.0), ux, +1.0, cuts, spec_up)
+    except (FloatingPointError, OverflowError) as exc:
+        raise QuadratureError(f"integrand overflows: {exc}") from exc
     return w_lo * lower + w_up * upper

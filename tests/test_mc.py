@@ -43,6 +43,18 @@ def test_first_passage_requires_net_drift():
         sample_first_passage(2.0, 3.0, flat, rng)
 
 
+def test_first_passage_broadcasts_scalar_start():
+    # A scalar x with an array of levels yields one passage time per level,
+    # the same as the fully broadcast array call on the same stream.
+    levels = np.array([3.0, 4.0, 5.0])
+    got = sample_first_passage(2.0, levels, REF_MODEL, np.random.default_rng(7))
+    want = sample_first_passage(
+        np.full(3, 2.0), levels, REF_MODEL, np.random.default_rng(7)
+    )
+    assert isinstance(got, np.ndarray) and got.shape == (3,)
+    assert np.array_equal(got, want)
+
+
 def test_first_passage_mean():
     rng = np.random.default_rng(101)
     x, level = 2.0, 3.0
@@ -81,6 +93,15 @@ def test_policy_validation():
         PolicySpec(thresholds=(3.0,), x0=0.0)
     with pytest.raises(ValueError):
         McEstimate(mean=1.0, std_err=-0.1, n_paths=10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "thresholds, x0",
+    [((3.0,), math.nan), ((math.inf,), 2.0), ((math.nan,), 2.0), ((3.0,), math.inf)],
+)
+def test_policy_rejects_non_finite(thresholds, x0):
+    with pytest.raises(ValueError, match="finite"):
+        PolicySpec(thresholds=thresholds, x0=x0)
 
 
 def test_immediate_exercise_is_deterministic():

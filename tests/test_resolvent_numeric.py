@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from mstop.finite import solve_single
 from mstop.powerfn import combine, constant, monomial, resolvent_apply
-from mstop.resolvent_numeric import QuadSpec, QuadratureError, quad_resolvent
+from mstop.resolvent_numeric import (
+    _ERR_WEIGHTS,
+    _NODES,
+    _WEIGHTS,
+    QuadSpec,
+    QuadratureError,
+    quad_resolvent,
+)
 
 from conftest import ORACLE, REF_MODEL, random_power_sum
 
@@ -17,6 +26,17 @@ def test_quadspec_validation():
         QuadSpec(abs_tol=-1e-9)
     with pytest.raises(ValueError):
         QuadSpec(max_depth=5)
+
+
+def test_embedded_pair_is_exact_on_polynomials():
+    # The 33-point rule integrates t^k on [-1, 1] for k <= 32, and the error
+    # estimate vanishes up to the lower rule's degree 16, up to the shift of
+    # the end nodes (1e-12 of the half-width).
+    for k in range(33):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert _WEIGHTS @ _NODES**k == pytest.approx(exact, abs=1e-11)
+        if k <= 16:
+            assert abs(_ERR_WEIGHTS @ _NODES**k) <= 1e-11
 
 
 def test_resolvent_of_constant_by_quadrature():
@@ -69,6 +89,81 @@ def test_divergent_tail_detected():
         quad_resolvent(monomial(1.0, beta_plus), RL, 1.0, REF_MODEL)
 
 
+def test_numpy_overflow_is_quadrature_error():
+    # x^400 overflows numpy's float range inside evaluate_many on the first
+    # block; that is a QuadratureError, not a warning or FloatingPointError.
+    with pytest.raises(QuadratureError, match="overflow"):
+        quad_resolvent(monomial(1.0, 400.0), RL, 1.0, REF_MODEL)
+
+
 def test_rejects_nonpositive_x():
     with pytest.raises(ValueError):
         quad_resolvent(constant(1.0), REF_MODEL.r, 0.0, REF_MODEL)
+
+
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+def test_rejects_non_finite_x(x):
+    with pytest.raises(ValueError, match="positive and finite"):
+        quad_resolvent(constant(1.0), REF_MODEL.r, x, REF_MODEL)
+
+
+class ArrayCounter:
+    """A power sum seen through its breakpoints and evaluate_many only,
+    counting array calls and the points they carry."""
+
+    def __init__(self, f, values=None):
+        self.f, self.values = f, values
+        self.breakpoints = f.breakpoints
+        self.calls = self.points = 0
+
+    def __call__(self, y):
+        raise AssertionError("scalar call on an integrand with evaluate_many")
+
+    def evaluate_many(self, y):
+        self.calls += 1
+        self.points += y.size
+        return self.f.evaluate_many(y) if self.values is None else self.values(y)
+
+
+def test_typed_integrand_is_called_once_per_level():
+    _, v1, _ = solve_single(REF_MODEL)
+    counted = ArrayCounter(v1)
+    got = quad_resolvent(counted, RL, 2.0, REF_MODEL)
+    assert got == pytest.approx(resolvent_apply(v1, RL, REF_MODEL)(2.0), rel=1e-9)
+    # Two tail walks of a few blocks, each block a few bisection levels.
+    assert counted.calls <= 40
+
+
+def test_plain_callable_matches_algebra_on_criterion_3_inputs():
+    # The criterion-3 random sums behind a bare lambda: no breakpoints, no
+    # evaluate_many, so their jumps are found only by the closed rule's edge
+    # samples and bisection.
+    rng = np.random.default_rng(303)
+    grid = np.geomspace(0.3, 15.0, 20)
+    worst = 0.0
+    for _ in range(50):
+        f = random_power_sum(rng, max_breakpoints=2, max_terms=2)
+        rf = resolvent_apply(f, RL, REF_MODEL)
+        for x in grid:
+            got = quad_resolvent(lambda y: f(y), RL, float(x), REF_MODEL)
+            worst = max(worst, abs(rf(float(x)) - got) / max(1e-9, abs(got)))
+    assert worst <= 1e-6
+
+
+def test_non_finite_integrand_fails_at_once():
+    counted = ArrayCounter(constant(1.0), values=lambda y: np.full(y.shape, np.nan))
+    with pytest.raises(QuadratureError, match="non-finite"):
+        quad_resolvent(counted, RL, 2.0, REF_MODEL)
+    assert counted.calls == 1
+    with pytest.raises(QuadratureError, match="non-finite"):
+        quad_resolvent(lambda y: math.inf if y > 3.0 else 1.0, RL, 2.0, REF_MODEL)
+
+
+def test_unresolvable_integrand_hits_active_cap():
+    # Fast oscillation needs far more intervals than the cap allows; the
+    # breadth-first bisection stops as soon as the active set exceeds it,
+    # long before max_depth levels.
+    counted = ArrayCounter(constant(1.0), values=lambda y: np.sin(1e7 * y))
+    with pytest.raises(QuadratureError, match="unresolved intervals"):
+        quad_resolvent(counted, RL, 2.0, REF_MODEL)
+    assert counted.calls <= 12
