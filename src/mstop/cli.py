@@ -10,7 +10,8 @@ Model parameters come from flags, falling back to an INI config file
 (--config, before the subcommand or after solve/verify/curve, or the
 MSTOP_CONFIG environment variable; flat key=value entries named after the
 long flags), falling back to the built-in reference
-configuration; an unknown key or a malformed file is bad input.  Exit
+configuration; an unknown key or a malformed file is bad input.  --rights
+is between 1 and MAX_RIGHTS (100) for solve, verify and curve.  Exit
 codes: 0 ok, 2 bad input, 3 solver failure, 4 verification failure, 141
 (128 + SIGPIPE) when the reader of stdout closed it early, as `| head` does.
 """
@@ -55,6 +56,10 @@ DEFAULTS = {
 # and names them in PAPER_TABLE1_ERRATUM (README, "Published table erratum").
 PAPER_TABLE1 = (3.317653, 3.079880, 2.971528, 2.738782, 2.643230)
 PAPER_TABLE1_ERRATUM = (3, 4, 5)
+
+# Largest --rights the commands accept.  The ladder's cost grows about as
+# n^2.1; by n = 100 the reference thresholds have converged to x_hat_inf.
+MAX_RIGHTS = 100
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -123,7 +128,7 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 def _build_model(args: argparse.Namespace, config: dict[str, str]) -> GbmModel:
     def pick(flag: str) -> float:
-        value = getattr(args, flag.replace("-", "_"), None)
+        value = getattr(args, flag, None)
         if value is not None:
             return float(value)
         if flag in config:
@@ -157,11 +162,15 @@ def _check_x0(x0: float) -> None:
         raise ValueError(f"--x0 must be positive and finite, got {x0}")
 
 
+def _check_rights(n: int) -> None:
+    if not 1 <= n <= MAX_RIGHTS:
+        raise ValueError(f"--rights must be between 1 and {MAX_RIGHTS}, got {n}")
+
+
 def cmd_solve(args: argparse.Namespace, config: dict[str, str]) -> int:
     model = _build_model(args, config)
     require_valid(model, require_positive_net_drift=True)
-    if args.rights < 1:
-        raise ValueError(f"--rights must be >= 1, got {args.rights}")
+    _check_rights(args.rights)
     _check_x0(args.x0)
 
     exps = derive_exponents(model)
@@ -281,6 +290,7 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
     require_valid(model, require_positive_net_drift=True)
     if args.paths < 1000:
         raise ValueError(f"--paths must be >= 1000, got {args.paths}")
+    _check_rights(args.rights)
     _check_x0(args.x0)
     require_workers(args.workers)
     if args.perturb is not None:
@@ -335,6 +345,7 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
 def cmd_curve(args: argparse.Namespace, config: dict[str, str]) -> int:
     model = _build_model(args, config)
     require_valid(model, require_positive_net_drift=True)
+    _check_rights(args.rights)
     try:
         lo_s, hi_s, n_s = args.grid.split(":")
         lo, hi, n_pts = float(lo_s), float(hi_s), int(n_s)
@@ -376,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--mu", type=float, help="drift rate")
     model.add_argument("--sigma", type=float, help="volatility")
     model.add_argument("--rate", type=float, help="discount rate r")
-    model.add_argument("--lambda", type=float, dest="lambda_", help="refraction rate")
+    model.add_argument("--lambda", type=float, dest="lambda", help="refraction rate")
     model.add_argument("--strike", type=float, help="call strike K")
 
     def add_output(sub: argparse.ArgumentParser, formats: bool = True) -> None:
@@ -430,9 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # argparse stores --lambda in lambda_; the picker looks for "lambda".
-    if hasattr(args, "lambda_"):
-        setattr(args, "lambda", args.lambda_)
     try:
         config = _load_config(args.config)
     except OSError as exc:

@@ -28,6 +28,7 @@ from mstop.model import Exponents, GbmModel, derive_exponents, require_valid
 from mstop.powerfn import (
     PiecewisePowerSum,
     Poly,
+    _value,
     call_payoff,
     combine,
     power_log_integral,
@@ -280,17 +281,9 @@ def _assert_invariants(ladder: ThresholdLadder, x_hat: float) -> None:
 
 def _slope(poly: Poly, x: float) -> float:
     """Derivative at x of one piece, sum over p of x^p C_p(ln x): each term
-    gives x^(p-1) (p C_p + C_p') at ln x, with C_p and C_p' by one Horner
-    pass."""
-    lx = math.log(x)
-    total = 0.0
-    for p, cs in poly.items():
-        acc = dacc = 0.0
-        for c in reversed(cs):
-            dacc = dacc * lx + acc
-            acc = acc * lx + c
-        total += (p * acc + dacc) * x ** (p - 1.0)
-    return total
+    gives x^(p-1) (p C_p + C_p') at ln x."""
+    terms = [(p - 1.0, ratio_coefs(p, cs)) for p, cs in poly.items()]
+    return _value(terms, x, math.log(x))
 
 
 def check_ratio_monotonicity(

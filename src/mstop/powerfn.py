@@ -17,6 +17,12 @@ theta(p) = q -- is an exact float comparison.  A resonant term raises the
 log power by one instead of producing a pole; the recursion produces such
 terms from the third exercise right onward.  Terms supplied by callers as
 PowerTerms are canonicalized once, on construction.
+
+One kernel, _value, evaluates every sum of x^p C(ln x) terms, for a float
+or an array x: pieces, closed-form integrals and the resolvent's
+antiderivatives alike.  The resolvent's homogeneous coefficients are
+running sums of their jumps across the breakpoints, so each piece's
+antiderivatives are evaluated only at that piece's own two ends.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -108,12 +115,16 @@ def _canonical_poly(terms: Iterable[PowerTerm]) -> Poly:
     return poly
 
 
-def _horner(cs: Sequence[float], lx):
-    """sum_k cs[k] * lx^k for a float or an array lx."""
-    acc = 0.0
-    for c in reversed(cs):
-        acc = acc * lx + c
-    return acc
+def _value(terms: Iterable[tuple[float, Sequence[float]]], x, lx):
+    """Sum of x^p C(lx) over the (p, C) pairs, C by Horner's rule in
+    lx = ln x; x and lx are floats or arrays of one shape."""
+    total = 0.0
+    for p, cs in terms:
+        acc = 0.0
+        for c in reversed(cs):
+            acc = acc * lx + c
+        total += acc * x**p
+    return total
 
 
 def ratio_coefs(e: float, cs: Sequence[float]) -> list[float]:
@@ -137,12 +148,6 @@ def _antiderivative(s: float, cs: Sequence[float]) -> list[float]:
     return d
 
 
-def _anti_value(anti: list[tuple[float, list[float]]], y: float) -> float:
-    """sum of y^s D(ln y) over the (s, D) antiderivatives of one piece."""
-    ly = math.log(y)
-    return sum(y**s * _horner(d, ly) for s, d in anti)
-
-
 def power_log_integral(s: float, cs: Sequence[float], lo: float, hi: float) -> float:
     """Integral of y^(s-1) * sum_k cs[k] ln^k y over (lo, hi] in closed form.
 
@@ -156,8 +161,8 @@ def power_log_integral(s: float, cs: Sequence[float], lo: float, hi: float) -> f
             )
         upper = 0.0
     else:
-        upper = _anti_value([(s, d)], hi)
-    return upper - _anti_value([(s, d)], lo)
+        upper = _value([(s, d)], hi, math.log(hi))
+    return upper - _value([(s, d)], lo, math.log(lo))
 
 
 # -- piecewise sums --------------------------------------------------------------
@@ -169,8 +174,8 @@ class PiecewisePowerSum:
     Pieces cover (0, x_1], (x_1, x_2], ..., (x_m, inf).  `polys[j]` is piece
     j keyed by exponent; results of the algebra share these dicts and lists,
     so they must not be mutated.  `polys` is the only stored form: the
-    constructor and `from_json_dict` take PowerTerms and canonicalize them
-    into it, and `to_json_dict()` lists its terms.
+    constructor takes PowerTerms and canonicalizes them into it, and
+    `to_json_dict()` lists its terms.
     """
 
     __slots__ = ("breakpoints", "polys")
@@ -210,15 +215,8 @@ class PiecewisePowerSum:
     def __call__(self, x: float) -> float:
         if x <= 0.0:
             raise ValueError(f"x must be positive, got {x}")
-        lx = math.log(x)
-        total = 0.0
-        # Horner's rule inlined: scalar calls dominate the quadrature oracle.
-        for p, cs in self.polys[bisect_left(self.breakpoints, x)].items():
-            acc = 0.0
-            for c in reversed(cs):
-                acc = acc * lx + c
-            total += acc * x**p
-        return total
+        poly = self.polys[bisect_left(self.breakpoints, x)]
+        return _value(poly.items(), x, math.log(x))
 
     def evaluate_many(self, x: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
         """Vectorized evaluation on an array of positive points."""
@@ -230,19 +228,11 @@ class PiecewisePowerSum:
         lx = np.log(x)
         for j, poly in enumerate(self.polys):
             mask = idx == j
-            if not poly or not np.any(mask):
-                continue
-            xm, lm = x[mask], lx[mask]
-            acc = np.zeros_like(xm)
-            for p, cs in poly.items():
-                acc += xm**p * _horner(cs, lm)
-            out[mask] = acc
+            if poly and np.any(mask):
+                out[mask] = _value(poly.items(), x[mask], lx[mask])
         return out
 
     # -- structure ----------------------------------------------------------
-
-    def has_log_terms(self) -> bool:
-        return any(len(cs) > 1 for poly in self.polys for cs in poly.values())
 
     def is_zero(self) -> bool:
         return not any(self.polys)
@@ -272,19 +262,6 @@ class PiecewisePowerSum:
                 for poly in self.polys
             ],
         }
-
-    @staticmethod
-    def from_json_dict(data: Mapping) -> "PiecewisePowerSum":
-        return PiecewisePowerSum(
-            tuple(data["breakpoints"]),
-            tuple(
-                tuple(
-                    PowerTerm(d["coef"], d["exp"], int(d.get("logpow", 0)))
-                    for d in piece
-                )
-                for piece in data["pieces"]
-            ),
-        )
 
 
 def zero() -> PiecewisePowerSum:
@@ -344,30 +321,6 @@ def ratio_derivative(f: PiecewisePowerSum, p: float) -> PiecewisePowerSum:
     return PiecewisePowerSum.from_polys(f.breakpoints, polys)
 
 
-def generator_apply(f: PiecewisePowerSum, model: GbmModel) -> PiecewisePowerSum:
-    """Infinitesimal generator A f = sigma^2 x^2 f''/2 + mu x f' piecewise.
-
-    On power-log terms:
-        A(x^p ln^k) = theta(p) x^p ln^k
-                      + (sigma^2 (2p-1)/2 + mu) k x^p ln^{k-1}
-                      + sigma^2/2 k(k-1) x^p ln^{k-2}.
-    """
-    s2 = model.sigma * model.sigma
-    polys: list[Poly] = []
-    for poly in f.polys:
-        m: Poly = {}
-        for p, cs in poly.items():
-            first = 0.5 * s2 * (2 * p - 1) + model.mu
-            out = [c * model.theta(p) for c in cs]
-            for k in range(1, len(cs)):
-                out[k - 1] += cs[k] * k * first
-            for k in range(2, len(cs)):
-                out[k - 2] += cs[k] * 0.5 * s2 * k * (k - 1)
-            m[p] = out
-        polys.append(m)
-    return PiecewisePowerSum.from_polys(f.breakpoints, polys)
-
-
 def resolvent_apply(
     f: PiecewisePowerSum, q: float, model: GbmModel
 ) -> PiecewisePowerSum:
@@ -390,7 +343,6 @@ def resolvent_apply(
     b_q = pq - mq
     u = 2.0 / (model.sigma * model.sigma * b_q)
     polys = f.polys
-    m = len(f.breakpoints)
 
     # Convergence of the two one-sided integrals.
     for p in polys[0]:
@@ -404,8 +356,8 @@ def resolvent_apply(
                 f"upper integral diverges: rightmost exponent {p} >= {pq}"
             )
 
-    # Per piece: the particular part, and the antiderivatives (s, D) of
-    # u psi_q f m' and u phi_q f m'.
+    # Per piece k: the particular part, and the antiderivatives F1_k of
+    # u psi_q f m' and F2_k of u phi_q f m' as (s, D) pairs.
     parts: list[Poly] = []
     anti_psi: list[list[tuple[float, list[float]]]] = []
     anti_phi: list[list[tuple[float, list[float]]]] = []
@@ -424,26 +376,22 @@ def resolvent_apply(
         anti_psi.append(a1)
         anti_phi.append(a2)
 
-    # Homogeneous coefficients.  On piece j = (lo, hi]:
-    #   phi coefficient = int_0^lo u psi f m' - F1_j(lo),
-    #   psi coefficient = F2_j(hi) + int_hi^inf u phi f m',
-    # where F1_j(0) = 0 and F2_j(inf) = 0 by the convergence checks.
-    bps = f.breakpoints
-    c_phi = [0.0] * (m + 1)
-    prefix = 0.0
-    for j in range(1, m + 1):
-        prefix += _anti_value(anti_psi[j - 1], bps[j - 1])
-        if j >= 2:
-            prefix -= _anti_value(anti_psi[j - 1], bps[j - 2])
-        c_phi[j] = prefix - _anti_value(anti_psi[j], bps[j - 1])
-    c_psi = [0.0] * (m + 1)
-    suffix = 0.0
-    for j in range(m - 1, -1, -1):
-        if j + 1 < m:
-            suffix += _anti_value(anti_phi[j + 1], bps[j + 1])
-        suffix -= _anti_value(anti_phi[j + 1], bps[j])
-        c_psi[j] = _anti_value(anti_phi[j], bps[j]) + suffix
+    # Homogeneous coefficients.  On piece k = (b_(k-1), b_k]:
+    #   phi coefficient = int_0^b_(k-1) u psi f m' - F1_k(b_(k-1)),
+    #   psi coefficient = F2_k(b_k) + int_b_k^inf u phi f m',
+    # which are 0 on the first and the last piece respectively, because
+    # F1_0(0) = 0 and F2_m(inf) = 0 by the convergence checks.  So they are
+    # running sums of the jumps at the breakpoints:
+    #   c_phi[k+1] = c_phi[k] + F1_k(b_k) - F1_(k+1)(b_k)   forward,
+    #   c_psi[k] = c_psi[k+1] + F2_k(b_k) - F2_(k+1)(b_k)   backward.
+    jump_phi, jump_psi = [], []
+    for k, x in enumerate(f.breakpoints):
+        lx = math.log(x)
+        jump_phi.append(_value(anti_psi[k], x, lx) - _value(anti_psi[k + 1], x, lx))
+        jump_psi.append(_value(anti_phi[k], x, lx) - _value(anti_phi[k + 1], x, lx))
+    c_phi = accumulate(jump_phi, initial=0.0)
+    c_psi = reversed([*accumulate(reversed(jump_psi), initial=0.0)])
     for part, a, b in zip(parts, c_phi, c_psi):
         _add_coef(part, mq, 0, a)
         _add_coef(part, pq, 0, b)
-    return PiecewisePowerSum.from_polys(bps, parts)
+    return PiecewisePowerSum.from_polys(f.breakpoints, parts)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import mstop
+from mstop.cli import PAPER_TABLE1  # noqa: F401 - the published table, for tests
 from mstop.model import GbmModel
 from mstop.powerfn import PiecewisePowerSum, PowerTerm
 
@@ -63,12 +64,6 @@ ORACLE = {
     "v5_at_2": 1.2263690819159574,
     "v_inf_at_2": 1.6237927245742896,
 }
-
-# Published reference thresholds for N = 1..5 (6-decimal table).  Entries 1-2
-# match the exact solution.  Entries 3-5 disagree with both the exact algebra
-# and the finite-difference solution of the obstacle problem (by 0.037, 0.097
-# and 0.125), so test_criterion_1_table1 compares only entries 1-2 with them.
-PUBLISHED_THRESHOLDS = (3.317653, 3.079880, 2.971528, 2.738782, 2.643230)
 
 
 @pytest.fixture

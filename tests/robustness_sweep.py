@@ -1,0 +1,72 @@
+"""Robustness sweep over a wide parameter box (not collected by pytest).
+
+Draws 600 models with numpy.random.default_rng(0), each in the order
+    r ~ 10^U(-3, 0), sigma ~ 10^U(-3, 0.3),
+    mu = sigma^2/2 + (r - sigma^2/2) U, lambda ~ 10^U(-4, 2), K ~ 10^U(-2, 2),
+keeps those that validate(..., require_positive_net_drift=True) accepts, and
+runs solve_ladder(m, 6) and solve_infinite(m) on each.  Prints the kept and
+failed counts, the failures grouped by class, and how many solved models
+raised a smooth-fit RuntimeWarning.
+
+Run from the repository root:
+    PYTHONPATH=src python tests/robustness_sweep.py
+"""
+
+from __future__ import annotations
+
+import re
+import warnings
+from collections import Counter
+
+import numpy as np
+
+from mstop import GbmModel, solve_infinite, solve_ladder, validate
+
+DRAWS = 600
+RIGHTS = 6
+
+
+def draw_models(rng: np.random.Generator, n: int) -> list[GbmModel]:
+    models = []
+    for _ in range(n):
+        r = 10.0 ** rng.uniform(-3.0, 0.0)
+        sigma = 10.0 ** rng.uniform(-3.0, 0.3)
+        half_s2 = 0.5 * sigma * sigma
+        mu = half_s2 + (r - half_s2) * rng.uniform()
+        lam = 10.0 ** rng.uniform(-4.0, 2.0)
+        strike = 10.0 ** rng.uniform(-2.0, 2.0)
+        models.append(GbmModel(mu=mu, sigma=sigma, r=r, lam=lam, strike=strike))
+    return models
+
+
+def failure_class(exc: Exception) -> str:
+    stage = re.match(r"float overflow in ladder stage (\d+)", str(exc))
+    if stage:
+        return f"{type(exc).__name__}: overflow at stage {stage.group(1)}"
+    return type(exc).__name__
+
+
+def main() -> None:
+    models = draw_models(np.random.default_rng(0), DRAWS)
+    kept = [m for m in models if not validate(m, require_positive_net_drift=True)]
+    failures: Counter[str] = Counter()
+    warned = 0
+    for m in kept:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            try:
+                solve_ladder(m, RIGHTS)
+                solve_infinite(m)
+            except Exception as exc:  # noqa: BLE001 - every failure is counted
+                failures[failure_class(exc)] += 1
+                continue
+        warned += any("first-derivative mismatch" in str(w.message) for w in caught)
+    print(f"kept {len(kept)} of {DRAWS} draws")
+    print(f"failed {sum(failures.values())}")
+    for name, count in sorted(failures.items()):
+        print(f"  {count:4d}  {name}")
+    print(f"solved with a smooth-fit warning {warned}")
+
+
+if __name__ == "__main__":
+    main()

@@ -22,7 +22,7 @@ from mstop.model import GbmModel, derive_exponents
 from mstop.powerfn import combine, resolvent_apply
 from mstop.resolvent_numeric import quad_resolvent
 
-from conftest import PUBLISHED_THRESHOLDS, REF_MODEL, random_power_sum, random_valid_model
+from conftest import PAPER_TABLE1, REF_MODEL, random_power_sum, random_valid_model
 from fd_obstacle import fd_ladder
 
 RL = REF_MODEL.r + REF_MODEL.lam
@@ -48,8 +48,8 @@ def test_criterion_1_anchors(ladder5):
     checks = [
         abs(x1 - 3.317653) <= 1e-5,
         abs(x_hat - 2.593508) <= 1e-5,
-        abs(ladder5.thresholds[0] - PUBLISHED_THRESHOLDS[0]) <= 1e-3,
-        abs(ladder5.thresholds[1] - PUBLISHED_THRESHOLDS[1]) <= 1e-3,
+        abs(ladder5.thresholds[0] - PAPER_TABLE1[0]) <= 1e-3,
+        abs(ladder5.thresholds[1] - PAPER_TABLE1[1]) <= 1e-3,
     ]
     ok = all(checks)
     _report(1, ok, f"anchors x*_1={x1:.6f}, x_hat={x_hat:.6f}; first two thresholds")
@@ -73,7 +73,7 @@ def test_criterion_1_table1(ladder5):
     )
 
     diffs = [abs(c - f) for c, f in zip(ladder5.thresholds, fine.thresholds)]
-    published = [abs(c - p) for c, p in zip(ladder5.thresholds[:2], PUBLISHED_THRESHOLDS)]
+    published = [abs(c - p) for c, p in zip(ladder5.thresholds[:2], PAPER_TABLE1)]
     ok = all(d <= 1e-3 for d in diffs + published)
     _report(
         1,
@@ -86,7 +86,7 @@ def test_criterion_1_table1(ladder5):
     assert ok, (
         f"computed thresholds {[round(x, 6) for x in ladder5.thresholds]}, "
         f"finite-difference {[round(x, 6) for x in fine.thresholds]}, "
-        f"published rows 1-2 {list(PUBLISHED_THRESHOLDS[:2])}"
+        f"published rows 1-2 {list(PAPER_TABLE1[:2])}"
     )
 
 

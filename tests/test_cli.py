@@ -5,9 +5,9 @@ import subprocess
 import numpy as np
 import pytest
 
-from mstop.cli import EXIT_BROKEN_PIPE, main
+from mstop.cli import EXIT_BROKEN_PIPE, MAX_RIGHTS, main
 
-from conftest import ORACLE, PUBLISHED_THRESHOLDS, run_python
+from conftest import ORACLE, PAPER_TABLE1, run_python
 
 
 def run_cli(capsys, *argv):
@@ -105,7 +105,7 @@ def test_table_preset(capsys):
     code, out, _ = run_cli(capsys, "table", "--format", "json")
     assert code == 0
     report = json.loads(out)
-    assert report["published"] == list(PUBLISHED_THRESHOLDS)
+    assert report["published"] == list(PAPER_TABLE1)
     assert report["x_hat_inf"] == pytest.approx(2.593508, abs=1e-6)
     assert report["computed"][0] == pytest.approx(3.317653, abs=1e-6)
     assert report["computed"][1] == pytest.approx(3.079880, abs=1e-6)
@@ -184,6 +184,21 @@ def test_non_finite_x0_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "--x0" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("rights", ["0", str(MAX_RIGHTS + 1)])
+@pytest.mark.parametrize(
+    "argv", [("solve",), ("verify",), ("curve", "--grid", "1:2:2")]
+)
+def test_rights_out_of_range_exit_2_before_solving(capsys, monkeypatch, argv, rights):
+    def no_solve(*_):
+        raise AssertionError("solved before checking --rights")
+
+    monkeypatch.setattr("mstop.cli.solve_ladder", no_solve)
+    code, out, err = run_cli(capsys, *argv, "--rights", rights)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["exit_code"] == 2 and "--rights" in error["error"]
 
 
 def test_verify_with_perturb_reports_dominance(capsys):
