@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -39,7 +40,7 @@ from mstop.mc import (
 )
 from mstop.model import GbmModel, derive_exponents, require_valid
 from mstop.powerfn import call_payoff
-from mstop.resolvent_numeric import QuadSpec, quad_resolvent
+from mstop.resolvent_numeric import quad_resolvent
 
 # Reference configuration (the published worked example).
 DEFAULTS = {
@@ -179,9 +180,7 @@ def cmd_solve(args: argparse.Namespace, config: dict[str, str]) -> int:
 
     if args.engine == "quadrature":
         values = _values_by_quadrature(model, ladder, args.x0)
-        v_inf_x0 = quad_resolvent(
-            inf_sol.sigma_density, model.r, args.x0, model, QuadSpec()
-        )
+        v_inf_x0 = quad_resolvent(inf_sol.sigma_density, model.r, args.x0, model)
     else:
         values = [v(args.x0) for v in ladder.values]
         v_inf_x0 = inf_sol.v_inf(args.x0)
@@ -227,7 +226,6 @@ def _values_by_quadrature(model: GbmModel, ladder, x0: float) -> list[float]:
     """V^i(x0) with every resolvent evaluation done by quadrature."""
     g = call_payoff(model.strike)
     b = ladder.exponents.b
-    spec = QuadSpec()
     values: list[float] = []
     for i, x_star in enumerate(ladder.thresholds, start=1):
         v_prev = ladder.values[i - 2] if i >= 2 else None
@@ -237,7 +235,7 @@ def _values_by_quadrature(model: GbmModel, ladder, x0: float) -> list[float]:
             if v_prev is None:
                 return base
             return base + model.lam * quad_resolvent(
-                v_prev, model.r + model.lam, y, model, spec
+                v_prev, model.r + model.lam, y, model
             )
 
         if x0 > x_star:
@@ -351,8 +349,8 @@ def cmd_curve(args: argparse.Namespace, config: dict[str, str]) -> int:
         lo, hi, n_pts = float(lo_s), float(hi_s), int(n_s)
     except (ValueError, AttributeError) as exc:
         raise ValueError(f"bad grid spec {args.grid!r}, expected lo:hi:points") from exc
-    if not (lo > 0.0 and hi > lo and n_pts >= 2):
-        raise ValueError(f"bad grid spec: need 0 < lo < hi and points >= 2")
+    if not (lo > 0.0 and hi > lo and math.isfinite(hi) and n_pts >= 2):
+        raise ValueError("bad grid spec: need finite 0 < lo < hi and points >= 2")
     ladder = solve_ladder(model, args.rights)
     inf_sol = solve_infinite(model)
     g = call_payoff(model.strike)
@@ -371,7 +369,10 @@ def cmd_curve(args: argparse.Namespace, config: dict[str, str]) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change
+    it."""
     parser = argparse.ArgumentParser(
         prog="mstop",
         description="Optimal multiple stopping with exponential refraction periods.",

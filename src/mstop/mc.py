@@ -14,11 +14,12 @@ numbers), because every block consumes draws in a fixed per-stage pattern.
 
 The dominance scan uses that pattern directly.  A variant that moves the
 threshold for i rights runs the same stages as the base policy while more
-than i rights remain, so each block runs the base policy once, keeps every
-stage's draws and its starting (x, t, total) state, and resumes each variant
-from the base state at the stage with i rights, replaying the kept draws.
-That is n(n+2) stage simulations per block instead of (2n+1)n, and one
-round of draws instead of 2n+1.  The report's means and standard errors are
+than i rights remain, so one walk serves them all: each stage draws once,
+a variant joins the walk at the stage with i rights from the base policy's
+(x, t, total) state there, and from then on advances through the same
+draws as the base.  That is n(n+2) stage simulations per block instead of
+(2n+1)n, and one round of draws instead of 2n+1; `simulate_policy` is the
+same walk with no variants.  The report's means and standard errors are
 taken over whole columns, so the scan holds 2n+1 float64 arrays of n_paths
 each (base totals and one paired difference per variant).
 """
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import numpy.typing as npt
@@ -44,9 +44,12 @@ State = tuple[Array, Array, Array]
 # One stage's draws: (z, u) for the first passage and, when rights remain
 # after this exercise, the refraction period `wait` and the lognormal factor
 # exp(nu wait + sigma sqrt(wait) z) that it moves the state by.  Draws do
-# not depend on the policy, so the scan computes them, the factor included,
-# once for all variants.
+# not depend on the policy, so one set, the factor included, serves the
+# policy and every variant in the walk.
 Draws = tuple[Array, ...]
+# A dominance-scan variant: (i, direction, thresholds), the policy with the
+# threshold for i rights moved up ("+") or down ("-").
+Variant = tuple[int, str, tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -178,73 +181,69 @@ def _stage(model: GbmModel, level: float, state: State, draws: Draws) -> State:
     return hit_x * growth, t_ex + wait, total
 
 
-def _start(policy: PolicySpec, n: int) -> State:
-    return np.full(n, policy.x0), np.zeros(n), np.zeros(n)
-
-
-def _simulate_block(
-    model: GbmModel, policy: PolicySpec, n: int, rng: np.random.Generator
-) -> Array:
-    """Per-path discounted payoff totals; each stage draws just before it
-    runs, so blocks with equal RNG state align draw-for-draw across
-    policies."""
-    state = _start(policy, n)
-    for rights in range(policy.n_rights, 0, -1):
-        draws = _stage_draws(model, rng, n, rights > 1)
-        state = _stage(model, policy.thresholds[rights - 1], state, draws)
-    return state[2]
-
-
-def _scan_block(
+def _run_block(
     model: GbmModel,
     policy: PolicySpec,
-    variants: list[tuple[int, str, tuple[float, ...]]],
+    variants: list[Variant],
     out: Array,
     rng: np.random.Generator,
 ) -> None:
-    """Write the base totals to out[0] and, for variant j = (i, direction,
-    thresholds), the paired differences base - variant to out[1 + j].  The
-    variant departs from the base at the stage with i rights and replays the
-    base's draws from there."""
-    n_rights, n = policy.n_rights, out.shape[1]
-    starts: list[State] = []
-    draws: list[Draws] = []
-    state = _start(policy, n)
-    # starts[k] and draws[k] belong to the stage with n_rights - k rights.
-    for rights in range(n_rights, 0, -1):
-        starts.append(state)
-        draws.append(_stage_draws(model, rng, n, rights > 1))
-        state = _stage(model, policy.thresholds[rights - 1], state, draws[-1])
+    """Write the policy's per-path totals to out[0] and, for variant
+    j = (i, direction, thresholds), the paired differences policy - variant
+    to out[1 + j].
+
+    Each stage draws once, just before it runs, so blocks with equal RNG
+    state align draw-for-draw across policies.  Variant j joins at the stage
+    with i rights, from the policy's state there, and from then on advances
+    through the same draws as the policy.
+    """
+    n = out.shape[1]
+    state: State = (np.full(n, policy.x0), np.zeros(n), np.zeros(n))
+    # (row, state) of every variant that has joined.  Entries are replaced
+    # in place, so a variant's previous state is freed as it advances.
+    running: list[tuple[int, State]] = []
+    for rights in range(policy.n_rights, 0, -1):
+        draws = _stage_draws(model, rng, n, rights > 1)
+        running += [(row, state) for row, v in enumerate(variants, 1) if v[0] == rights]
+        for k, (row, vstate) in enumerate(running):
+            level = variants[row - 1][2][rights - 1]
+            running[k] = (row, _stage(model, level, vstate, draws))
+        state = _stage(model, policy.thresholds[rights - 1], state, draws)
     out[0] = state[2]
-    for j, (i, _, thresholds) in enumerate(variants, start=1):
-        state = starts[n_rights - i]
-        for rights in range(i, 0, -1):
-            stage_draws = draws[n_rights - rights]
-            state = _stage(model, thresholds[rights - 1], state, stage_draws)
-        np.subtract(out[0], state[2], out=out[j])
+    for row, vstate in running:
+        np.subtract(out[0], vstate[2], out=out[row])
 
 
-def _for_blocks(
-    run: Callable[[slice, np.random.Generator], None],
+def _columns(
+    model: GbmModel,
+    policy: PolicySpec,
+    variants: list[Variant],
     n_paths: int,
     seed: int,
     workers: int,
-) -> None:
-    """run(sl, rng) on every block, where sl is the block's slice of the
-    n_paths paths and rng is seeded by the child of SeedSequence(seed) for
-    the block's position."""
-    starts = range(0, n_paths, BLOCK_SIZE)
-    children = np.random.SeedSequence(seed).spawn(len(starts))
-    jobs = [
-        (slice(lo, min(lo + BLOCK_SIZE, n_paths)), np.random.default_rng(child))
-        for lo, child in zip(starts, children)
-    ]
+) -> Array:
+    """The rows `_run_block` writes, over all n_paths paths: block k covers
+    paths [k BLOCK_SIZE, (k + 1) BLOCK_SIZE) and is seeded by the k-th child
+    of SeedSequence(seed)."""
+    require_valid(model, require_positive_net_drift=True)
+    require_workers(workers)
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    columns = np.empty((1 + len(variants), n_paths))
+    offsets = range(0, n_paths, BLOCK_SIZE)
+    children = np.random.SeedSequence(seed).spawn(len(offsets))
+
+    def run(lo: int, child: np.random.SeedSequence) -> None:
+        block = columns[:, lo : lo + BLOCK_SIZE]
+        _run_block(model, policy, variants, block, np.random.default_rng(child))
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda job: run(*job), jobs))
+            list(pool.map(run, offsets, children))
     else:
-        for job in jobs:
-            run(*job)
+        for lo, child in zip(offsets, children):
+            run(lo, child)
+    return columns
 
 
 def _mean_se(values: Array) -> tuple[float, float]:
@@ -265,16 +264,7 @@ def simulate_policy(
     Every path exercises all of its rights (hitting times are a.s. finite),
     so `exercised_counts` is {n_rights: n_paths}.
     """
-    require_valid(model, require_positive_net_drift=True)
-    require_workers(workers)
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    totals = np.empty(n_paths)
-
-    def run(sl: slice, rng: np.random.Generator) -> None:
-        totals[sl] = _simulate_block(model, policy, sl.stop - sl.start, rng)
-
-    _for_blocks(run, n_paths, seed, workers)
+    totals = _columns(model, policy, [], n_paths, seed, workers)[0]
     mean, std_err = _mean_se(totals)
     return McEstimate(
         mean=mean,
@@ -301,30 +291,20 @@ def policy_dominance_scan(
     every variant the report carries the paired mean difference
     (optimal - variant), its standard error, and whether the variant beats
     the base policy by more than 3 joint standard errors.  Every variant
-    resumes from the base policy's stage state and replays its draws (see
-    the module docstring), which gives the same paths as simulating it with
-    the same seed from the start.
+    joins the base policy's walk at the stage it changes and shares its
+    draws from there (see the module docstring), which gives the same paths
+    as simulating it with the same seed from the start.
     """
     require_perturbation(perturbation)
-    require_valid(model, require_positive_net_drift=True)
-    require_workers(workers)
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
     base_policy = PolicySpec(thresholds=thresholds, x0=x0)
-    variants: list[tuple[int, str, tuple[float, ...]]] = []
+    variants: list[Variant] = []
     for i in range(1, len(thresholds) + 1):
         for sign, direction in ((+1.0, "+"), (-1.0, "-")):
             shifted = list(thresholds)
             shifted[i - 1] = shifted[i - 1] * (1.0 + sign * perturbation)
             variants.append((i, direction, tuple(shifted)))
-
     # Row 0 holds the base totals, row 1 + j the differences for variant j.
-    columns = np.empty((1 + len(variants), n_paths))
-
-    def run(sl: slice, rng: np.random.Generator) -> None:
-        _scan_block(model, base_policy, variants, columns[:, sl], rng)
-
-    _for_blocks(run, n_paths, seed, workers)
+    columns = _columns(model, base_policy, variants, n_paths, seed, workers)
     rows: list[dict] = []
     dominated = True
     for (i, direction, shifted), diff in zip(variants, columns[1:]):

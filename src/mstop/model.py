@@ -100,12 +100,10 @@ def derive_exponents(model: GbmModel) -> Exponents:
     which avoids catastrophic cancellation for small lam.
     """
     require_valid(model)
-    s2 = model.sigma * model.sigma
-    h = 0.5 - model.mu / s2
-    s_r = math.sqrt(h * h + 2.0 * model.r / s2)
-    s_rl = math.sqrt(h * h + 2.0 * (model.r + model.lam) / s2)
+    h, s_r = _h_and_s(model, model.r)
+    _, s_rl = _h_and_s(model, model.r + model.lam)
     gamma = s_rl + s_r
-    kappa = (2.0 * model.lam / s2) / gamma
+    kappa = (2.0 * model.lam / (model.sigma * model.sigma)) / gamma
     return Exponents(
         b=h + s_r,
         a=h - s_r,
@@ -118,11 +116,19 @@ def derive_exponents(model: GbmModel) -> Exponents:
     )
 
 
+def _h_and_s(model: GbmModel, q: float) -> tuple[float, float]:
+    """(h, s_q) with h = 1/2 - mu/sigma^2 and s_q = sqrt(h^2 + 2 q/sigma^2):
+    the roots of theta(p) = q are h +- s_q.  The one place they are
+    computed, so root_pair(model, r + lam) returns (beta, alpha) bit for
+    bit and resonance is an exact key match."""
+    s2 = model.sigma * model.sigma
+    h = 0.5 - model.mu / s2
+    return h, math.sqrt(h * h + 2.0 * q / s2)
+
+
 def root_pair(model: GbmModel, q: float) -> tuple[float, float]:
     """(positive, negative) roots of theta(p) = q for an arbitrary q > 0."""
     if q <= 0.0:
         raise ValueError(f"discount rate must be positive, got {q}")
-    s2 = model.sigma * model.sigma
-    h = 0.5 - model.mu / s2
-    s_q = math.sqrt(h * h + 2.0 * q / s2)
+    h, s_q = _h_and_s(model, q)
     return h + s_q, h - s_q

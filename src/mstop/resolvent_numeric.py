@@ -22,6 +22,14 @@ rule by a relative amount of that order, far below the tolerances.
 Refinement is level by level: one bisection level of a block is a single
 call of the integrand on every interval not yet resolved.
 
+The tolerances are fixed: each block's error budget is the larger of 1e-9
+relative to the integral of |g| over it and 1e-12 absolute on the final
+value (divided by the prefactor x^p_q / B_q or x^m_q / B_q that multiplies
+the integral, where that exceeds 1), a tail ends once its bound falls below
+that absolute tolerance, and a block gives up after 50 bisection levels.
+Float overflow anywhere in an evaluation, the prefactors included, raises
+`QuadratureError`.
+
 What the integrand `f` is taken to be:
 
 - If it has `breakpoints` (increasing positive points where it may jump or
@@ -40,7 +48,6 @@ between the two is a meaningful check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -59,6 +66,10 @@ _MAX_BLOCKS = 400
 _MAX_ACTIVE = 1024
 # Offset of the end nodes inside an interval, relative to its half-width.
 _EDGE_INSET = 1e-12
+# Fixed tolerances and depth limit (see the module docstring).
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-12
+_MAX_DEPTH = 50
 
 
 def _clenshaw_curtis_weights(n: int) -> list[float]:
@@ -85,21 +96,6 @@ _ERR_WEIGHTS = _WEIGHTS.copy()
 _ERR_WEIGHTS[::2] -= _clenshaw_curtis_weights(16)
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Adaptive-quadrature tolerances and limits."""
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_depth: int = 50
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_depth < 10:
-            raise ValueError(f"max_depth must be >= 10, got {self.max_depth}")
-
-
 class QuadratureError(ArithmeticError):
     """Tolerance not reached or a divergent tail was detected."""
 
@@ -109,12 +105,12 @@ def _integrate_block(
     u: float,
     u_next: float,
     cuts: Array,
-    spec: QuadSpec,
+    abs_tol: float,
 ) -> tuple[float, float, float]:
     """Integral of g over the block between u and u_next, cut at `cuts`,
     with |g(u)| and |g(u_next)| taken from the same first call.
 
-    The block's error budget is max(abs_tol, rel_tol * int |g|).  An
+    The block's error budget is max(abs_tol, _REL_TOL * int |g|).  An
     interval is accepted when its error estimate is within its share of the
     budget by width, or when what is left of the budget covers all open
     intervals together.
@@ -123,7 +119,7 @@ def _integrate_block(
     edges = np.concatenate(([a], cuts[(cuts > a) & (cuts < b)], [b]))
     lo, hi = edges[:-1], edges[1:]
     total, spent, eps = 0.0, 0.0, 0.0
-    for depth in range(spec.max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         half = 0.5 * (hi - lo)
         mid = lo + half
         points = (mid[:, None] + half[:, None] * _NODES).ravel()
@@ -132,7 +128,7 @@ def _integrate_block(
             g_in, g_out = abs(float(values[-2])), abs(float(values[-1]))
             values = values[:-2].reshape(lo.size, _NODES.size)
             abs_integral = float((half * (np.abs(values) * _WEIGHTS).sum(axis=1)).sum())
-            eps = max(spec.abs_tol, spec.rel_tol * abs_integral)
+            eps = max(abs_tol, _REL_TOL * abs_integral)
         else:
             values = g(points).reshape(lo.size, _NODES.size)
         est = half * (values * _WEIGHTS).sum(axis=1)
@@ -156,7 +152,7 @@ def _integrate_block(
                 f"at depth {depth + 1}"
             )
     raise QuadratureError(
-        f"tolerance not reached within depth {spec.max_depth} on [{a}, {b}] "
+        f"tolerance not reached within depth {_MAX_DEPTH} on [{a}, {b}] "
         f"(err {float(err.max()):.3e})"
     )
 
@@ -166,7 +162,7 @@ def _walk_tail(
     start: float,
     direction: float,
     cuts: Array,
-    spec: QuadSpec,
+    abs_tol: float,
 ) -> float:
     """Integrate g from `start` toward +/- infinity in log-coordinate blocks.
 
@@ -177,7 +173,7 @@ def _walk_tail(
     u = start
     for _ in range(_MAX_BLOCKS):
         u_next = u + direction * _BLOCK_WIDTH
-        block, g_in, g_out = _integrate_block(g, u, u_next, cuts, spec)
+        block, g_in, g_out = _integrate_block(g, u, u_next, cuts, abs_tol)
         total += block
         if g_out > g_in and g_out > 1e12:
             raise QuadratureError(
@@ -187,7 +183,7 @@ def _walk_tail(
             # |g| decays at measured rate s per unit u beyond u_next; the
             # remaining tail is bounded by g_out / s.
             s = math.log(g_in / g_out) / _BLOCK_WIDTH
-            if g_out / s < spec.abs_tol:
+            if g_out / s < abs_tol:
                 return total
         elif g_out == 0.0:
             # Identically-zero stretch (e.g. payoff region ends); probe one
@@ -206,7 +202,6 @@ def quad_resolvent(
     q: float,
     x: float,
     model: GbmModel,
-    spec: QuadSpec | None = None,
 ) -> float:
     """Resolvent R_q f(x) by adaptive quadrature of the representation.
 
@@ -217,8 +212,6 @@ def quad_resolvent(
     """
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"x must be positive and finite, got {x}")
-    if spec is None:
-        spec = QuadSpec()
     pq, mq = root_pair(model, q)
     s2 = model.sigma * model.sigma
     tm = 2.0 * model.mu / s2 - 2.0
@@ -241,16 +234,17 @@ def quad_resolvent(
 
         return g
 
-    # The two integrals are multiplied by x^mq / B_q and x^pq / B_q, which can
-    # be large; tighten each walk's absolute tolerance by its prefactor so the
-    # error budget applies to the final value, not the raw integral.
-    w_lo, w_up = x**mq / b_q, x**pq / b_q
-    spec_lo = replace(spec, abs_tol=spec.abs_tol / max(1.0, abs(w_lo)))
-    spec_up = replace(spec, abs_tol=spec.abs_tol / max(1.0, abs(w_up)))
     try:
+        # The two integrals are multiplied by x^mq / B_q and x^pq / B_q,
+        # which can be large; tighten each walk's absolute tolerance by its
+        # prefactor so the error budget applies to the final value, not the
+        # raw integral.
+        w_lo, w_up = x**mq / b_q, x**pq / b_q
+        tol_lo = _ABS_TOL / max(1.0, abs(w_lo))
+        tol_up = _ABS_TOL / max(1.0, abs(w_up))
         with np.errstate(over="raise", invalid="raise"):
-            lower = _walk_tail(integrand(pq + tm + 1.0), ux, -1.0, cuts, spec_lo)
-            upper = _walk_tail(integrand(mq + tm + 1.0), ux, +1.0, cuts, spec_up)
+            lower = _walk_tail(integrand(pq + tm + 1.0), ux, -1.0, cuts, tol_lo)
+            upper = _walk_tail(integrand(mq + tm + 1.0), ux, +1.0, cuts, tol_up)
     except (FloatingPointError, OverflowError) as exc:
-        raise QuadratureError(f"integrand overflows: {exc}") from exc
+        raise QuadratureError(f"float overflow at x={x}: {exc}") from exc
     return w_lo * lower + w_up * upper

@@ -5,8 +5,14 @@ Draws 600 models with numpy.random.default_rng(0), each in the order
     mu = sigma^2/2 + (r - sigma^2/2) U, lambda ~ 10^U(-4, 2), K ~ 10^U(-2, 2),
 keeps those that validate(..., require_positive_net_drift=True) accepts, and
 runs solve_ladder(m, 6) and solve_infinite(m) on each.  Prints the kept and
-failed counts, the failures grouped by class, and how many solved models
-raised a smooth-fit RuntimeWarning.
+failed counts, the failures grouped by class, how many solved models
+raised a smooth-fit RuntimeWarning, and how many solved ladders (solve_infinite
+may still fail on them) miss the Delta cross-check below by more than 1e-12
+relative, with the worst one.  The cross-check is reported, not gated.
+
+Delta cross-check: on (0, K], H^i is c x^b + C x^beta, so Delta_{i-1} also
+equals kappa C, read off the resolvent's homogeneous coefficient rather than
+from the closed-form integral in finite.delta.
 
 Run from the repository root:
     PYTHONPATH=src python tests/robustness_sweep.py
@@ -24,6 +30,7 @@ from mstop import GbmModel, solve_infinite, solve_ladder, validate
 
 DRAWS = 600
 RIGHTS = 6
+DELTA_RTOL = 1e-12
 
 
 def draw_models(rng: np.random.Generator, n: int) -> list[GbmModel]:
@@ -46,16 +53,31 @@ def failure_class(exc: Exception) -> str:
     return type(exc).__name__
 
 
+def delta_cross_check(ladder) -> tuple[float, int]:
+    """Largest relative gap between Delta_{i-1} and kappa C over the ladder,
+    and the stage i where it occurs (0 for a single right)."""
+    exps = ladder.exponents
+    worst, stage = 0.0, 0
+    for i, (d, h) in enumerate(zip(ladder.deltas, ladder.h_funcs[1:]), start=2):
+        alt = exps.kappa * h.polys[0].get(exps.beta, [0.0])[0]
+        gap = abs(alt - d) / abs(d)
+        if gap > worst:
+            worst, stage = gap, i
+    return worst, stage
+
+
 def main() -> None:
     models = draw_models(np.random.default_rng(0), DRAWS)
     kept = [m for m in models if not validate(m, require_positive_net_drift=True)]
     failures: Counter[str] = Counter()
     warned = 0
+    delta_gaps = []
     for m in kept:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
             try:
-                solve_ladder(m, RIGHTS)
+                ladder = solve_ladder(m, RIGHTS)
+                delta_gaps.append((*delta_cross_check(ladder), m))
                 solve_infinite(m)
             except Exception as exc:  # noqa: BLE001 - every failure is counted
                 failures[failure_class(exc)] += 1
@@ -66,6 +88,17 @@ def main() -> None:
     for name, count in sorted(failures.items()):
         print(f"  {count:4d}  {name}")
     print(f"solved with a smooth-fit warning {warned}")
+    over = [g for g in delta_gaps if g[0] > DELTA_RTOL]
+    print(
+        f"solved ladders with a Delta cross-check gap above {DELTA_RTOL:g}: "
+        f"{len(over)} of {len(delta_gaps)}"
+    )
+    if over:
+        gap, stage, m = max(over, key=lambda g: g[0])
+        print(
+            f"  worst {gap:.2e} at stage {stage}: mu={m.mu:.8g} sigma={m.sigma:.8g} "
+            f"r={m.r:.8g} lam={m.lam:.8g} K={m.strike:.8g}"
+        )
 
 
 if __name__ == "__main__":

@@ -267,6 +267,8 @@ def test_curve_bad_grid_exit_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "curve", "--rights", "1", "--grid", "oops")
     assert code == 2
+    code, out, err = run_cli(capsys, "curve", "--rights", "2", "--grid", "0.5:inf:4")
+    assert code == 2 and out == "" and "finite" in err
 
 
 def test_curve_writes_file(tmp_path, capsys):

@@ -90,6 +90,25 @@ def test_delta_values(ladder5):
     assert all(d < 0.0 for d in ladder5.deltas)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        REF_MODEL,
+        GbmModel(mu=0.0054740, sigma=0.051098, r=0.055040, lam=0.29510, strike=0.81862),
+    ],
+)
+def test_delta_is_kappa_times_beta_coefficient(model):
+    # On (0, K] the payoff is 0 and V^(i-1) is c x^b, so H^i there is
+    # c' x^b + C x^beta and Delta_(i-1) = kappa C: a value read off the
+    # resolvent's homogeneous coefficient, not from delta's closed-form
+    # integral.
+    ladder = solve_ladder(model, 10)
+    kappa, beta = ladder.exponents.kappa, ladder.exponents.beta
+    for d, h in zip(ladder.deltas, ladder.h_funcs[1:]):
+        assert h.breakpoints[0] == model.strike
+        assert kappa * h.polys[0][beta][0] == pytest.approx(d, rel=1e-12, abs=0.0)
+
+
 def test_delta_zero_for_pure_power():
     b = derive_exponents(REF_MODEL).b
     assert delta(REF_MODEL, monomial(1.0, b), 3.0) == 0.0

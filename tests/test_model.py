@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from mstop.model import GbmModel, derive_exponents, require_valid, root_pair, validate
 
 from conftest import ORACLE, REF_MODEL
+from robustness_sweep import DRAWS, draw_models
 
 
 def test_reference_model_is_valid():
@@ -94,3 +96,19 @@ def test_kappa_stable_for_tiny_lambda():
 def test_root_pair_rejects_nonpositive_discount():
     with pytest.raises(ValueError):
         root_pair(REF_MODEL, 0.0)
+
+
+def test_root_pair_reproduces_exponents_exactly():
+    # Resonance in the algebra is an exact key match against beta, so
+    # root_pair must return derive_exponents' roots bit for bit; checked on
+    # every model the robustness sweep keeps.
+    kept = [
+        m
+        for m in draw_models(np.random.default_rng(0), DRAWS)
+        if not validate(m, require_positive_net_drift=True)
+    ]
+    assert len(kept) == 441
+    for m in kept:
+        exps = derive_exponents(m)
+        assert root_pair(m, m.r + m.lam) == (exps.beta, exps.alpha)
+        assert root_pair(m, m.r) == (exps.b, exps.a)

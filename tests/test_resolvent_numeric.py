@@ -9,7 +9,6 @@ from mstop.resolvent_numeric import (
     _ERR_WEIGHTS,
     _NODES,
     _WEIGHTS,
-    QuadSpec,
     QuadratureError,
     quad_resolvent,
 )
@@ -17,15 +16,6 @@ from mstop.resolvent_numeric import (
 from conftest import ORACLE, REF_MODEL, random_power_sum
 
 RL = REF_MODEL.r + REF_MODEL.lam
-
-
-def test_quadspec_validation():
-    with pytest.raises(ValueError):
-        QuadSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadSpec(abs_tol=-1e-9)
-    with pytest.raises(ValueError):
-        QuadSpec(max_depth=5)
 
 
 def test_embedded_pair_is_exact_on_polynomials():
@@ -94,6 +84,12 @@ def test_numpy_overflow_is_quadrature_error():
     # block; that is a QuadratureError, not a warning or FloatingPointError.
     with pytest.raises(QuadratureError, match="overflow"):
         quad_resolvent(monomial(1.0, 400.0), RL, 1.0, REF_MODEL)
+
+
+def test_prefactor_overflow_is_quadrature_error():
+    # x^p_q overflows a Python float before any integrand is evaluated.
+    with pytest.raises(QuadratureError, match="overflow"):
+        quad_resolvent(constant(1.0), 0.15, 1e300, REF_MODEL)
 
 
 def test_rejects_nonpositive_x():
