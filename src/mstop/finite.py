@@ -248,25 +248,33 @@ def _assert_invariants(ladder: ThresholdLadder, x_hat: float) -> None:
     for i, d in enumerate(ladder.deltas):
         if not (d < 0.0):
             raise ArithmeticError(f"Delta_{i + 1} not negative: {d}")
-    # Pointwise checks on a log grid: value continuity at the boundary,
-    # value monotonicity in rights, and the majorant chain V >= H >= g.
+    # Pointwise checks on a log grid: the majorant chain V >= H >= g, value
+    # monotonicity in rights, and value continuity at the boundary.  Above
+    # x*_i, V^i is H^i piece for piece (checked exactly first), so the two
+    # can differ only on (0, x*_i]: H^i is evaluated on the grid points
+    # there, and V^i's values stand for it above.
     grid = np.geomspace(0.2 * x_hat, 5.0 * xs[0], 101)
-    g = call_payoff(ladder.model.strike)
+    g_vals = call_payoff(ladder.model.strike).evaluate_many(grid)
     prev_vals: npt.NDArray[np.float64] | None = None
     for i, (v, h, x_i) in enumerate(
         zip(ladder.values, ladder.h_funcs, xs), start=1
     ):
-        scale = max(1.0, abs(v(x_i)))
-        if abs(v(x_i * (1 - 1e-12)) - v(x_i * (1 + 1e-12))) > 1e-8 * scale:
-            raise ArithmeticError(f"V^{i} discontinuous at its threshold")
+        j = bisect_right(h.breakpoints, x_i)
+        if v.breakpoints != (x_i, *h.breakpoints[j:]) or v.polys[1:] != h.polys[j:]:
+            raise ArithmeticError(f"V^{i} differs from H^{i} above its threshold")
         v_vals = v.evaluate_many(grid)
-        h_vals = h.evaluate_many(grid)
-        g_vals = g.evaluate_many(grid)
-        if np.any(v_vals - h_vals < -1e-9) or np.any(h_vals - g_vals < -1e-9):
-            raise ArithmeticError(f"majorant property violated at i={i}")
+        below = np.searchsorted(grid, x_i, side="right")
+        h_vals = np.concatenate((h.evaluate_many(grid[:below]), v_vals[below:]))
+        if np.any(v_vals - h_vals < -1e-9):
+            raise ArithmeticError(f"majorant property violated at i={i}: V < H")
+        if np.any(h_vals - g_vals < -1e-9):
+            raise ArithmeticError(f"majorant property violated at i={i}: H < g")
         if prev_vals is not None and np.any(v_vals - prev_vals < -1e-9):
             raise ArithmeticError(f"value monotonicity violated at i={i}")
         prev_vals = v_vals
+        scale = max(1.0, abs(v(x_i)))
+        if abs(v(x_i * (1 - 1e-12)) - v(x_i * (1 + 1e-12))) > 1e-8 * scale:
+            raise ArithmeticError(f"V^{i} discontinuous at its threshold")
         # Smooth fit at the boundary is expected but not guaranteed by the
         # construction for i >= 2; degrade to a warning.  V^i is c*_i x^b on
         # (0, x*_i] and its next piece is H^i's, so the jump is exact.

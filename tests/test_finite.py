@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import warnings
@@ -20,7 +21,15 @@ from mstop.finite import (
 )
 from mstop.infinite import solve_infinite, x_hat_infinite
 from mstop.model import GbmModel, derive_exponents
-from mstop.powerfn import call_payoff, monomial, ratio_derivative, zero
+from mstop.powerfn import (
+    PiecewisePowerSum,
+    call_payoff,
+    combine,
+    constant,
+    monomial,
+    ratio_derivative,
+    zero,
+)
 
 from conftest import ORACLE, REF_MODEL, random_valid_model, run_python
 
@@ -270,6 +279,62 @@ def test_values_are_threshold_forms():
         j = bisect_right(h.breakpoints, x_i)
         assert v.breakpoints == (x_i, *h.breakpoints[j:])
         assert v.polys[1:] == h.polys[j:]
+
+
+def with_stage(ladder, i, v=None, h=None):
+    """The ladder with V^i and/or H^i replaced."""
+    values, h_funcs = list(ladder.values), list(ladder.h_funcs)
+    if v is not None:
+        values[i - 1] = v
+    if h is not None:
+        h_funcs[i - 1] = h
+    return dataclasses.replace(ladder, values=tuple(values), h_funcs=tuple(h_funcs))
+
+
+def with_piece(f, j, scale=1.0, nudge=False):
+    """f with piece j's coefficients scaled, and optionally its first one
+    moved up by one ulp."""
+    poly = {p: [scale * c for c in cs] for p, cs in f.polys[j].items()}
+    if nudge:
+        cs = next(iter(poly.values()))
+        cs[0] = math.nextafter(cs[0], math.inf)
+    polys = (*f.polys[:j], poly, *f.polys[j + 1 :])
+    return PiecewisePowerSum.from_polys(f.breakpoints, polys)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # V^3 below H^3 just under x*_3.
+        (lambda lad: with_stage(lad, 3, v=with_piece(lad.values[2], 0, 0.9)), "V < H"),
+        # H^3 negative on (0, K], where g = 0.
+        (lambda lad: with_stage(lad, 3, h=with_piece(lad.h_funcs[2], 0, -1.0)), "H < g"),
+        # V^4 and H^4 lifted by 1 pass stage 4 and put V^5 below V^4.
+        (
+            lambda lad: with_stage(
+                lad,
+                4,
+                v=combine(lad.values[3], constant(1.0)),
+                h=combine(lad.h_funcs[3], constant(1.0)),
+            ),
+            "value monotonicity violated at i=5",
+        ),
+        # V^5 raised by 1% on (0, x*_5]: a jump at x*_5 and nothing else.
+        (
+            lambda lad: with_stage(lad, 5, v=with_piece(lad.values[4], 0, 1.01)),
+            "discontinuous",
+        ),
+        # One ulp off H^2 above x*_2, far below any pointwise tolerance.
+        (
+            lambda lad: with_stage(lad, 2, v=with_piece(lad.values[1], 1, nudge=True)),
+            "V\\^2 differs from H\\^2 above its threshold",
+        ),
+    ],
+    ids=["v_below_h", "h_below_g", "monotonicity", "discontinuity", "structure"],
+)
+def test_invariants_reject_corrupted_ladder(ladder5, corrupt, message):
+    with pytest.raises(ArithmeticError, match=message):
+        _assert_invariants(corrupt(ladder5), x_hat_infinite(REF_MODEL))
 
 
 def test_piece_slope_matches_ratio_derivative():

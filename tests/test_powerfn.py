@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from mstop import powerfn
+from mstop.finite import solve_ladder
 from mstop.model import GbmModel, derive_exponents, root_pair
 from mstop.powerfn import (
     DivergenceError,
     PiecewisePowerSum,
     Poly,
     PowerTerm,
+    _value,
     call_payoff,
     combine,
     constant,
@@ -56,6 +59,20 @@ def has_log_terms(f: PiecewisePowerSum) -> bool:
     return any(len(cs) > 1 for poly in f.polys for cs in poly.values())
 
 
+def masked_evaluate_many(f: PiecewisePowerSum, x) -> np.ndarray:
+    """Reference evaluation: one boolean mask per piece over the whole
+    array, as evaluate_many did before it grouped the points by piece."""
+    x = np.asarray(x, dtype=float)
+    idx = np.searchsorted(np.asarray(f.breakpoints), x, side="left")
+    out = np.zeros_like(x)
+    lx = np.log(x)
+    for j, poly in enumerate(f.polys):
+        mask = idx == j
+        if poly and np.any(mask):
+            out[mask] = _value(poly.items(), x[mask], lx[mask])
+    return out
+
+
 def from_json_dict(data: dict) -> PiecewisePowerSum:
     """Inverse of PiecewisePowerSum.to_json_dict."""
     return PiecewisePowerSum(
@@ -95,6 +112,14 @@ def test_eval_rejects_nonpositive():
         f(-1.0)
     with pytest.raises(ValueError):
         f.evaluate_many(np.array([1.0, -2.0]))
+    # Non-finite points too, before any arithmetic could warn on them.
+    g = call_payoff(2.0)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            g(x)
+    for xs in ([math.nan, 3.0, math.inf], [3.0, math.inf], [[1.0], [-math.inf]]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            g.evaluate_many(np.array(xs))
 
 
 def test_breakpoints_must_increase():
@@ -131,6 +156,78 @@ def test_evaluate_many_matches_scalar():
     many = f.evaluate_many(grid)
     for x, v in zip(grid, many):
         assert v == pytest.approx(f(float(x)), rel=1e-14, abs=1e-300)
+
+
+@pytest.fixture(scope="module")
+def ladder60():
+    return solve_ladder(REF_MODEL, 60)
+
+
+def assert_same_as_masked(f: PiecewisePowerSum, x) -> None:
+    got, want = f.evaluate_many(x), masked_evaluate_many(f, x)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_evaluate_many_matches_masked_reference(ladder60):
+    rng = np.random.default_rng(21)
+    funcs = [random_power_sum(rng, max_breakpoints=6) for _ in range(20)]
+    funcs += [*ladder60.values, *ladder60.h_funcs]
+    for f in funcs:
+        bps = np.asarray(f.breakpoints)
+        x = np.concatenate(
+            [
+                np.exp(rng.uniform(math.log(0.05), math.log(50.0), 500)),
+                bps,  # exactly at breakpoints: the left piece
+                np.nextafter(bps, math.inf),
+                np.nextafter(bps, 0.0),
+                bps[::-1],  # duplicates, unsorted
+            ]
+        )
+        rng.shuffle(x)
+        assert_same_as_masked(f, x)
+
+
+def test_evaluate_many_shapes(ladder60):
+    f = ladder60.values[9]
+    x = np.geomspace(0.1, 30.0, 24)
+    assert_same_as_masked(f, np.float64(3.0))
+    assert f.evaluate_many(3.0).shape == ()
+    assert_same_as_masked(f, x.reshape(4, 6))
+    assert_same_as_masked(f, x.reshape(6, 4).T)  # not C-contiguous
+    assert_same_as_masked(f, np.array([]))
+    assert_same_as_masked(f, np.zeros((0, 3)))
+
+
+def test_evaluate_many_skips_overflowing_empty_piece():
+    # x^-800 overflows below x = 0.41; under the quadrature oracle's error
+    # state only the pieces that hold points may be evaluated.
+    f = PiecewisePowerSum(
+        (1.0,), ((PowerTerm(1.0, -800.0),), (PowerTerm(1.0, 1.0),))
+    )
+    with np.errstate(over="raise", invalid="raise"):
+        assert np.array_equal(f.evaluate_many(np.array([3.0, 2.0])), [3.0, 2.0])
+        with pytest.raises(FloatingPointError):
+            f.evaluate_many(np.array([3.0, 1e-3]))
+
+
+def test_evaluate_many_touches_only_nonempty_pieces(ladder60, monkeypatch):
+    v = ladder60.values[-1]
+    assert len(v.polys) == 61
+    bps = v.breakpoints
+    # Pieces 0, 30 and 60, with duplicates and in no order.
+    x = np.array([bps[-1] * 2.0, bps[29], bps[0] / 2.0, bps[29], bps[-1] * 3.0])
+    want = masked_evaluate_many(v, x)
+    calls = []
+
+    def counting_value(terms, x, lx):
+        calls.append(len(x))
+        return _value(terms, x, lx)
+
+    monkeypatch.setattr(powerfn, "_value", counting_value)
+    got = v.evaluate_many(x)
+    assert sorted(calls) == [1, 2, 2]
+    assert np.array_equal(got, want)
 
 
 # -- combine ------------------------------------------------------------------
