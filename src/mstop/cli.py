@@ -9,17 +9,20 @@ Commands:
 Model parameters come from flags, falling back to an INI config file
 (--config, before the subcommand or after solve/verify/curve, or the
 MSTOP_CONFIG environment variable; flat key=value entries named after the
-long flags), falling back to the built-in reference
-configuration; an unknown key or a malformed file is bad input.  --rights
-is between 1 and MAX_RIGHTS (100) for solve, verify and curve.  Exit
-codes: 0 ok, 2 bad input, 3 solver failure, 4 verification failure, 141
-(128 + SIGPIPE) when the reader of stdout closed it early, as `| head` does.
+long flags), falling back to the reference configuration.  An unknown key,
+a value that is not a number, a malformed file or a non-finite parameter is
+bad input.  table runs on the reference configuration and reads no config,
+neither --config nor MSTOP_CONFIG.  --rights is between 1 and MAX_RIGHTS
+(100).  Exit codes: 0 ok, 2 bad input (an unwritable --output too), 3 solver
+failure, 4 verification failure, 141 (128 + SIGPIPE) when the reader of
+stdout closed it early, as `| head` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import functools
 import json
 import math
@@ -38,17 +41,18 @@ from mstop.mc import (
     require_workers,
     simulate_policy,
 )
-from mstop.model import GbmModel, derive_exponents, require_valid
+from mstop.model import GbmModel, require_valid
 from mstop.powerfn import call_payoff
 from mstop.resolvent_numeric import quad_resolvent
 
-# Reference configuration (the published worked example).
-DEFAULTS = {
-    "mu": 0.008,
-    "sigma": 0.125,
-    "rate": 0.05,
-    "lambda": 0.1,
-    "strike": 2.0,
+# The model parameters, by flag and config key: (GbmModel field, help,
+# reference value).  The reference values are the published worked example.
+MODEL_PARAMS = {
+    "mu": ("mu", "drift rate", 0.008),
+    "sigma": ("sigma", "volatility", 0.125),
+    "rate": ("r", "discount rate r", 0.05),
+    "lambda": ("lam", "refraction rate", 0.1),
+    "strike": ("strike", "call strike K", 2.0),
 }
 
 # Published reference thresholds for the table preset (N = 1..5).  Entries
@@ -81,13 +85,15 @@ def _fmt_float(v: float) -> str:
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write `text` and a newline to stdout or, the same bytes, to `output`."""
     if output is None or output == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text + "\n")
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write output: {exc}") from exc
 
 
 def _error(message: str, code: int) -> int:
@@ -98,13 +104,17 @@ def _error(message: str, code: int) -> int:
 # -- configuration ------------------------------------------------------------
 
 
-def _load_config(path: str | None) -> dict[str, str]:
+def _load_config(path: str | None) -> dict[str, float]:
+    """The parameters an INI config file sets, by flag name."""
     if path is None:
         path = os.environ.get("MSTOP_CONFIG")
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read config: {exc}") from exc
     flat = not text.lstrip().startswith("[")
     if flat:
         text = "[mstop]\n" + text
@@ -118,41 +128,51 @@ def _load_config(path: str | None) -> dict[str, str]:
     for section in parser.sections():
         merged.update(parser[section])
     merged.update(parser.defaults())
-    unknown = sorted(set(merged) - set(DEFAULTS))
+    unknown = sorted(set(merged) - set(MODEL_PARAMS))
     if unknown:
         raise ValueError(
             f"unknown config key(s) {', '.join(unknown)} in {path}; "
-            f"expected {', '.join(DEFAULTS)}"
+            f"expected {', '.join(MODEL_PARAMS)}"
         )
-    return merged
+    values = {}
+    for key, value in merged.items():
+        try:
+            values[key] = float(value)
+        except ValueError:
+            raise ValueError(f"config key {key} is not a number: {value!r}") from None
+    return values
 
 
-def _build_model(args: argparse.Namespace, config: dict[str, str]) -> GbmModel:
-    def pick(flag: str) -> float:
-        value = getattr(args, flag, None)
-        if value is not None:
-            return float(value)
-        if flag in config:
-            return float(config[flag])
-        return DEFAULTS[flag]
-
+def _model(values: dict[str, float]) -> GbmModel:
+    """The model with `values` (by flag name) over the reference values."""
     return GbmModel(
-        mu=pick("mu"),
-        sigma=pick("sigma"),
-        r=pick("rate"),
-        lam=pick("lambda"),
-        strike=pick("strike"),
+        **{f: values.get(name, ref) for name, (f, _, ref) in MODEL_PARAMS.items()}
     )
 
 
 def _model_dict(model: GbmModel) -> dict:
-    return {
-        "mu": model.mu,
-        "sigma": model.sigma,
-        "rate": model.r,
-        "lambda": model.lam,
-        "strike": model.strike,
-    }
+    return {name: getattr(model, f) for name, (f, _, _) in MODEL_PARAMS.items()}
+
+
+def _read_model(args: argparse.Namespace) -> GbmModel:
+    """The model a command runs on.  table takes the reference model and reads
+    no config; the others take each parameter from its flag, else the config,
+    else its reference value, and check it and --rights before any work."""
+    if args.command == "table":
+        if args.config is not None:
+            raise ValueError("table reads no config: it runs on the reference model")
+        return _model({})
+    values = _load_config(args.config)
+    for name in MODEL_PARAMS:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+    model = _model(values)
+    require_valid(model, require_positive_net_drift=True)
+    if not 1 <= args.rights <= MAX_RIGHTS:
+        raise ValueError(
+            f"--rights must be between 1 and {MAX_RIGHTS}, got {args.rights}"
+        )
+    return model
 
 
 # -- commands -----------------------------------------------------------------
@@ -163,19 +183,10 @@ def _check_x0(x0: float) -> None:
         raise ValueError(f"--x0 must be positive and finite, got {x0}")
 
 
-def _check_rights(n: int) -> None:
-    if not 1 <= n <= MAX_RIGHTS:
-        raise ValueError(f"--rights must be between 1 and {MAX_RIGHTS}, got {n}")
-
-
-def cmd_solve(args: argparse.Namespace, config: dict[str, str]) -> int:
-    model = _build_model(args, config)
-    require_valid(model, require_positive_net_drift=True)
-    _check_rights(args.rights)
+def cmd_solve(args: argparse.Namespace, model: GbmModel) -> int:
     _check_x0(args.x0)
-
-    exps = derive_exponents(model)
     ladder = solve_ladder(model, args.rights)
+    exps = ladder.exponents
     inf_sol = solve_infinite(model)
 
     if args.engine == "quadrature":
@@ -187,16 +198,7 @@ def cmd_solve(args: argparse.Namespace, config: dict[str, str]) -> int:
 
     report = {
         "model": _model_dict(model),
-        "exponents": {
-            "b": exps.b,
-            "a": exps.a,
-            "beta": exps.beta,
-            "alpha": exps.alpha,
-            "kappa": exps.kappa,
-            "gamma": exps.gamma,
-            "wronskian_r": exps.wronskian_r,
-            "wronskian_rl": exps.wronskian_rl,
-        },
+        "exponents": dataclasses.asdict(exps),
         "x_hat_inf": inf_sol.x_hat_inf,
         "thresholds": list(ladder.thresholds),
         "deltas": list(ladder.deltas),
@@ -245,12 +247,9 @@ def _values_by_quadrature(model: GbmModel, ladder, x0: float) -> list[float]:
     return values
 
 
-def cmd_table(args: argparse.Namespace, config: dict[str, str]) -> int:
+def cmd_table(args: argparse.Namespace, model: GbmModel) -> int:
     if args.preset != "paper-table1":
         raise ValueError(f"unknown preset: {args.preset}")
-    # `table` takes no model flags and ignores the config: the preset is the
-    # reference configuration.
-    model = _build_model(args, {})
     ladder = solve_ladder(model, 5)
     x_hat = x_hat_infinite(model)
     computed = list(ladder.thresholds)
@@ -283,12 +282,9 @@ def cmd_table(args: argparse.Namespace, config: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
-    model = _build_model(args, config)
-    require_valid(model, require_positive_net_drift=True)
+def cmd_verify(args: argparse.Namespace, model: GbmModel) -> int:
     if args.paths < 1000:
         raise ValueError(f"--paths must be >= 1000, got {args.paths}")
-    _check_rights(args.rights)
     _check_x0(args.x0)
     require_workers(args.workers)
     if args.perturb is not None:
@@ -340,10 +336,7 @@ def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
-def cmd_curve(args: argparse.Namespace, config: dict[str, str]) -> int:
-    model = _build_model(args, config)
-    require_valid(model, require_positive_net_drift=True)
-    _check_rights(args.rights)
+def cmd_curve(args: argparse.Namespace, model: GbmModel) -> int:
     try:
         lo_s, hi_s, n_s = args.grid.split(":")
         lo, hi, n_pts = float(lo_s), float(hi_s), int(n_s)
@@ -362,7 +355,7 @@ def cmd_curve(args: argparse.Namespace, config: dict[str, str]) -> int:
     rows = [header]
     for row in zip(*columns):
         rows.append(",".join(_fmt_float(v) for v in row))
-    _emit("\n".join(rows) + "\n", args.output)
+    _emit("\n".join(rows), args.output)
     return EXIT_OK
 
 
@@ -385,11 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     # unless the subcommand is given its own.
     model = argparse.ArgumentParser(add_help=False)
     model.add_argument("--config", default=argparse.SUPPRESS, help=config_help)
-    model.add_argument("--mu", type=float, help="drift rate")
-    model.add_argument("--sigma", type=float, help="volatility")
-    model.add_argument("--rate", type=float, help="discount rate r")
-    model.add_argument("--lambda", type=float, dest="lambda", help="refraction rate")
-    model.add_argument("--strike", type=float, help="call strike K")
+    for name, (_, help_text, _) in MODEL_PARAMS.items():
+        model.add_argument(f"--{name}", type=float, help=help_text)
 
     def add_output(sub: argparse.ArgumentParser, formats: bool = True) -> None:
         if formats:
@@ -440,22 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-    except OSError as exc:
-        return _error(f"cannot read config: {exc}", EXIT_INPUT)
-    except ValueError as exc:
-        return _error(str(exc), EXIT_INPUT)
-    try:
-        code = args.func(args, config)
+        code = args.func(args, _read_model(args))
         sys.stdout.flush()
         return code
-    except ValueError as exc:
-        return _error(str(exc), EXIT_INPUT)
-    except ArithmeticError as exc:
-        return _error(str(exc), EXIT_SOLVER)
     except BrokenPipeError:
         # The reader closed stdout.  Point it at /dev/null so the flush at
         # interpreter exit does not raise again.
@@ -463,6 +442,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except ValueError as exc:
+        return _error(str(exc), EXIT_INPUT)
+    except ArithmeticError as exc:
+        return _error(str(exc), EXIT_SOLVER)
 
 
 if __name__ == "__main__":

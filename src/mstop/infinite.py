@@ -16,15 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from mstop.finite import perpetual_call_threshold, threshold_form
+from mstop.finite import continuation_value, perpetual_call_threshold, threshold_form
 from mstop.model import Exponents, GbmModel, derive_exponents, require_valid
-from mstop.powerfn import (
-    PiecewisePowerSum,
-    PowerTerm,
-    call_payoff,
-    combine,
-    resolvent_apply,
-)
+from mstop.powerfn import PiecewisePowerSum, PowerTerm, call_payoff, resolvent_apply
 
 # Relative tolerance for reconciling the algebraic resolvent against the
 # closed-form coefficients; a mismatch signals an implementation bug.
@@ -162,9 +156,7 @@ def check_verification(
     given; any slack below -1e-9 fails the report.
     """
     grid = np.asarray(grid, dtype=float)
-    g = call_payoff(model.strike)
-    rv = resolvent_apply(v, model.r + model.lam, model)
-    rhs = combine(g, rv, 1.0, model.lam)
+    rhs = continuation_value(model, v)
     slack = v.evaluate_many(grid) - rhs.evaluate_many(grid)
     min_slack = float(slack.min()) if slack.size else 0.0
     ok = min_slack >= -1e-9

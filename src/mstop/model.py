@@ -35,10 +35,6 @@ class GbmModel:
         """Characteristic quadratic theta(p) = sigma^2 p(p-1)/2 + mu p."""
         return 0.5 * self.sigma * self.sigma * p * (p - 1.0) + self.mu * p
 
-    def payoff(self, x: float) -> float:
-        """Call payoff (x - K)^+."""
-        return max(x - self.strike, 0.0)
-
 
 @dataclass(frozen=True)
 class Exponents:
@@ -66,6 +62,16 @@ def validate(model: GbmModel, require_positive_net_drift: bool = False) -> list[
     but not by the infinite solver, hence the flag.
     """
     errors: list[str] = []
+    named = {
+        "mu": model.mu,
+        "sigma": model.sigma,
+        "r": model.r,
+        "lambda": model.lam,
+        "strike": model.strike,
+    }
+    for name, value in named.items():
+        if not math.isfinite(value):
+            errors.append(f"{name} is not finite ({name}={value})")
     if not (model.sigma > 0.0):
         errors.append(f"sigma > 0 violated (sigma={model.sigma})")
     if not (model.r > 0.0):

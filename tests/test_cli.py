@@ -69,6 +69,16 @@ def test_solve_invalid_model_exit_2(capsys):
     assert error["exit_code"] == 2
 
 
+@pytest.mark.parametrize(
+    "arg, name", [("--lambda=inf", "lambda"), ("--rate=inf", "r"), ("--mu=nan", "mu")]
+)
+def test_non_finite_parameter_exit_2(capsys, arg, name):
+    code, out, err = run_cli(capsys, "solve", "--rights", "2", arg)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert f"{name} is not finite" in error["error"] and error["exit_code"] == 2
+
+
 def test_solve_overflow_names_stage_exit_3(capsys):
     # The resolvent of V^2 overflows a float while stage 3 builds H^3.
     code, out, err = run_cli(
@@ -282,6 +292,33 @@ def test_curve_writes_file(tmp_path, capsys):
     assert text.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--rights", "3"),
+        ("solve", "--rights", "3", "--format", "text"),
+        ("table",),
+        ("table", "--format", "text"),
+        ("verify", "--rights", "1", "--paths", "2000", "--format", "text"),
+    ],
+)
+def test_output_file_gets_stdout_bytes(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "report"
+    code, out_file, _ = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 0 and out_file == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "solve", "--rights", "1", "--output", str(path))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert str(path) in error["error"] and error["exit_code"] == 2
+
+
 # -- flags ---------------------------------------------------------------------
 
 
@@ -374,6 +411,7 @@ def test_repeat_invocations_byte_identical(capsys):
     [
         ("mu = 0.009\nmu = 0.010\n", "already exists"),
         ("sigma = 0.125\nthis is not a key value pair\n", "parsing errors"),
+        ("sigma = 0.125\nmu = abc\n", "config key mu is not a number: 'abc'"),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, text, message):
@@ -391,6 +429,25 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--config", str(cfg), "solve", "--rights", "1")
     assert code == 2 and out == ""
     assert "unknown config key(s) lam" in json.loads(err)["error"]
+
+
+def test_table_rejects_config_before_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "mstop.ini"
+    cfg.write_text("mu = 0.009\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "table")
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert "table reads no config" in error["error"] and error["exit_code"] == 2
+
+
+def test_table_does_not_open_config_env_var(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("lam = 0.2\nthis is not a key value pair\n")
+    monkeypatch.setenv("MSTOP_CONFIG", str(cfg))
+    code, out, err = run_cli(capsys, "table")
+    assert code == 0 and err == ""
+    monkeypatch.delenv("MSTOP_CONFIG")
+    assert run_cli(capsys, "table") == (0, out, "")
 
 
 @pytest.mark.parametrize("argv", [("verify",), ("curve", "--grid", "1:2:2")])

@@ -31,7 +31,12 @@ def test_net_drift_check_only_when_flagged():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("sigma", -0.1), ("sigma", 0.0), ("r", 0.0), ("lam", -1.0), ("strike", 0.0)],
+    [("sigma", -0.1), ("sigma", 0.0), ("r", 0.0), ("lam", -1.0), ("strike", 0.0)]
+    + [
+        (field, value)
+        for field in ("mu", "sigma", "r", "lam", "strike")
+        for value in (math.inf, -math.inf, math.nan)
+    ],
 )
 def test_positivity_constraints(field, value):
     kwargs = dict(mu=0.008, sigma=0.125, r=0.05, lam=0.1, strike=2.0)
