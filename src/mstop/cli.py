@@ -9,9 +9,10 @@ Commands:
 Model parameters come from flags, falling back to an INI config file
 (--config, before the subcommand or after solve/verify/curve, or the
 MSTOP_CONFIG environment variable; flat key=value entries named after the
-long flags), falling back to the reference configuration.  An unknown key,
-a value that is not a number, a malformed file or a non-finite parameter is
-bad input.  table runs on the reference configuration and reads no config,
+long flags), falling back to the reference configuration.  An empty
+--config path, an unknown key, a value that is not a number, a malformed
+file or a non-finite parameter is bad input; an empty MSTOP_CONFIG is
+unset.  table runs on the reference configuration and reads no config,
 neither --config nor MSTOP_CONFIG.  --rights is between 1 and MAX_RIGHTS
 (100).  Exit codes: 0 ok, 2 bad input (an unwritable --output too), 3 solver
 failure, 4 verification failure, 141 (128 + SIGPIPE) when the reader of
@@ -106,10 +107,13 @@ def _error(message: str, code: int) -> int:
 
 def _load_config(path: str | None) -> dict[str, float]:
     """The parameters an INI config file sets, by flag name."""
+    if path == "":
+        raise ValueError("--config is empty: give a config file path")
     if path is None:
+        # An empty MSTOP_CONFIG means unset.
         path = os.environ.get("MSTOP_CONFIG")
-    if not path:
-        return {}
+        if not path:
+            return {}
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -291,24 +295,13 @@ def cmd_verify(args: argparse.Namespace, model: GbmModel) -> int:
         require_perturbation(args.perturb)
     ladder = solve_ladder(model, args.rights)
     analytic = ladder.values[-1](args.x0)
-    policy = PolicySpec(thresholds=ladder.thresholds, x0=args.x0)
-    est = simulate_policy(model, policy, args.paths, args.seed, args.workers)
-    z = 0.0 if est.std_err == 0.0 else (est.mean - analytic) / est.std_err
-    passed = abs(z) <= 3.0
-    report = {
-        "model": _model_dict(model),
-        "rights": args.rights,
-        "x0": args.x0,
-        "analytic": analytic,
-        "mc_mean": est.mean,
-        "mc_std_err": est.std_err,
-        "n_paths": est.n_paths,
-        "seed": est.seed,
-        "z_score": z,
-        "pass": passed,
-    }
-    if args.perturb is not None:
-        report["dominance"] = policy_dominance_scan(
+    if args.perturb is None:
+        policy = PolicySpec(thresholds=ladder.thresholds, x0=args.x0)
+        est = simulate_policy(model, policy, args.paths, args.seed, args.workers)
+        mean, std_err = est.mean, est.std_err
+    else:
+        # The scan's base is the same walk as simulate_policy with this seed.
+        dominance = policy_dominance_scan(
             model,
             ladder.thresholds,
             args.x0,
@@ -317,18 +310,34 @@ def cmd_verify(args: argparse.Namespace, model: GbmModel) -> int:
             args.seed,
             args.workers,
         )
+        mean, std_err = dominance["base_mean"], dominance["base_se"]
+    z = 0.0 if std_err == 0.0 else (mean - analytic) / std_err
+    passed = abs(z) <= 3.0
+    report = {
+        "model": _model_dict(model),
+        "rights": args.rights,
+        "x0": args.x0,
+        "analytic": analytic,
+        "mc_mean": mean,
+        "mc_std_err": std_err,
+        "n_paths": args.paths,
+        "seed": args.seed,
+        "z_score": z,
+        "pass": passed,
+    }
+    if args.perturb is not None:
+        report["dominance"] = dominance
     if args.format == "text":
         lines = [
             f"analytic V^{args.rights}({args.x0:.6f}) = {analytic:.6f}",
-            f"mc = {est.mean:.6f} +- {est.std_err:.6f} ({est.n_paths} paths, "
-            f"seed {est.seed})",
+            f"mc = {mean:.6f} +- {std_err:.6f} ({args.paths} paths, "
+            f"seed {args.seed})",
             f"z = {z:.6f} -> {'pass' if passed else 'FAIL'}",
         ]
         if args.perturb is not None:
-            dom = report["dominance"]
             lines.append(
                 f"dominance scan (+-{args.perturb:.6f}): "
-                + ("base dominates" if dom["base_dominates"] else "VIOLATION")
+                + ("base dominates" if dominance["base_dominates"] else "VIOLATION")
             )
         _emit("\n".join(lines), args.output)
     else:

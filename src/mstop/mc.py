@@ -4,7 +4,9 @@ Simulation is exact in distribution: first passage times of the log price to
 a threshold are inverse-Gaussian draws (no time discretization), and the
 state after an Exp(lam) refraction period is refreshed with one lognormal
 increment.  Paths therefore carry zero discretization bias and 3-standard-
-error acceptance bands are meaningful.
+error acceptance bands are meaningful.  Each stage draws for every path,
+but only the paths still below the level run the inverse-Gaussian
+transform; the others are exercised at once, with passage time 0.
 
 Reproducibility: paths are processed in fixed-size blocks of 65536, each
 with an independent child of SeedSequence(seed).  Results for a given
@@ -27,7 +29,6 @@ each (base totals and one paired difference per variant).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,26 +105,39 @@ def sample_first_passage(
     model: GbmModel,
     rng: np.random.Generator,
 ) -> float | Array:
-    """Exact first passage time of X to `level` starting from x <= level.
+    """Exact first passage time of X to `level` starting from 0 < x <= level.
 
     The log distance d = ln(level / x) is hit by a Brownian motion with
     drift nu = mu - sigma^2/2 > 0 and volatility sigma at an inverse-
     Gaussian time with mean d / nu and shape d^2 / sigma^2, sampled by the
     transformation method (one standard normal plus one uniform).  Returns
-    0 where x equals the level.
+    0 where x equals the level.  Raises ValueError where x or the level is
+    not positive and finite, or x exceeds the level.
     """
     nu = model.net_drift
     if nu <= 0.0:
         raise ValueError(f"net drift must be positive, got {nu}")
     x_arr = np.asarray(x, dtype=float)
     lvl_arr = np.asarray(level, dtype=float)
-    if np.any(x_arr > lvl_arr):
+    # One reduction over the inputs: 0 < x <= level < inf is false where
+    # either is NaN, and makes the level positive.
+    if not np.all((x_arr > 0.0) & (x_arr <= lvl_arr) & (lvl_arr < math.inf)):
+        if not (np.all(x_arr > 0.0) and np.all(np.isfinite(x_arr))):
+            raise ValueError("x must be positive and finite")
+        if not (np.all(lvl_arr > 0.0) and np.all(np.isfinite(lvl_arr))):
+            raise ValueError("level must be positive and finite")
         raise ValueError("x must not exceed level (exercise immediately instead)")
-    d = np.log(lvl_arr / x_arr)
-    scalar = d.ndim == 0
-    d = np.atleast_1d(d)
-    tau = _passage_time(d, model, *_ig_draws(rng, d.shape))
-    return float(tau[0]) if scalar else tau
+    scalar = x_arr.ndim == 0 and lvl_arr.ndim == 0
+    x_arr, lvl_arr = np.broadcast_arrays(np.atleast_1d(x_arr), lvl_arr)
+    z, u = _ig_draws(rng, x_arr.shape)
+    # Drawn whole, transformed a block at a time: the transform's
+    # temporaries then stay small and are reused from block to block.
+    x_flat, lvl_flat, z, u = (a.ravel() for a in (x_arr, lvl_arr, z, u))
+    tau = np.empty(z.size)
+    for lo in range(0, z.size, BLOCK_SIZE):
+        b = slice(lo, lo + BLOCK_SIZE)
+        tau[b] = _passage_times(x_flat[b], lvl_flat[b], model, z[b], u[b])
+    return float(tau[0]) if scalar else tau.reshape(x_arr.shape)
 
 
 def _ig_draws(
@@ -133,16 +147,34 @@ def _ig_draws(
     return rng.standard_normal(size), rng.random(size)
 
 
-def _passage_time(d: Array, model: GbmModel, z: Array, u: Array) -> Array:
-    """Inverse-Gaussian hitting times of log distances d >= 0; 0 where d is 0."""
+def _passage_times(
+    x: Array, level: float | Array, model: GbmModel, z: Array, u: Array
+) -> Array:
+    """First passage times of X from the states x (one-dimensional) up to
+    `level` (a float, or an array shaped like x), driven by the draws (z, u)
+    of every entry: inverse-Gaussian in the log distance d = ln(level / x)
+    > 0 where x is below the level, 0 elsewhere.
+
+    Only the entries below the level run the transform, since its masks
+    cost more on a mixed array than the arithmetic they would throw away;
+    when every entry is below, nothing is gathered.
+    """
+    below = x < level
+    if not below.all():
+        below = np.flatnonzero(below)
+        if np.ndim(level):
+            level = level[below]
+        tau = np.zeros(x.shape)
+        tau[below] = _passage_times(x[below], level, model, z[below], u[below])
+        return tau
+    d = np.log(level / x)
     nu = model.net_drift
-    tau = _ig_transform(d / nu, d * d / (model.sigma * model.sigma), z, u)
-    return np.where(d > 0.0, tau, 0.0)
+    return _ig_transform(d / nu, d * d / (model.sigma * model.sigma), z, u)
 
 
 def _ig_transform(mean: Array, shape: Array, z: Array, u: Array) -> Array:
-    # Michael-Schucany-Haas transformation; degenerate entries (mean 0)
-    # are masked out by the caller.
+    # Michael-Schucany-Haas transformation.  The guards keep an entry whose
+    # mean or shape underflowed to 0 away from a division by 0.
     mean = np.where(mean > 0.0, mean, 1.0)
     shape = np.where(shape > 0.0, shape, 1.0)
     y = z * z
@@ -173,7 +205,7 @@ def _stage(model: GbmModel, level: float, state: State, draws: Draws) -> State:
     """
     x, t, total = state
     hit_x = np.maximum(x, level)
-    t_ex = t + _passage_time(np.log(hit_x / x), model, draws[0], draws[1])
+    t_ex = t + _passage_times(x, level, model, draws[0], draws[1])
     total = total + np.exp(-model.r * t_ex) * (hit_x - model.strike)
     if len(draws) == 2:
         return hit_x, t_ex, total
@@ -238,6 +270,8 @@ def _columns(
         _run_block(model, policy, variants, block, np.random.default_rng(child))
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, offsets, children))
     else:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from mstop.cli import EXIT_BROKEN_PIPE, MAX_RIGHTS, main
+from mstop.finite import solve_ladder
+from mstop.mc import policy_dominance_scan
 
-from conftest import ORACLE, PAPER_TABLE1, run_python
+from conftest import ORACLE, PAPER_TABLE1, REF_MODEL, run_python
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +232,22 @@ def test_verify_with_perturb_reports_dominance(capsys):
     assert len(report["dominance"]["variants"]) == 4
 
 
+def test_verify_perturb_json_is_base_report_plus_scan(capsys):
+    # With --perturb the MC columns come from the scan's base walk.  The JSON
+    # must be byte for byte the report without --perturb, whose estimate is
+    # simulate_policy's, followed by the scan run on its own.
+    argv = ["verify", "--paths", "70000", "--rights", "3", "--x0", "2", "--seed", "11"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv, "--perturb", "0.05")
+    assert code == 0
+    report = json.loads(plain)
+    report["dominance"] = policy_dominance_scan(
+        REF_MODEL, solve_ladder(REF_MODEL, 3).thresholds, 2.0, 0.05, 70_000, 11
+    )
+    assert out == json.dumps(report, indent=2) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv", [("--perturb", "0.5"), ("--workers", "0"), ("--workers", "-3")]
 )
@@ -429,6 +447,30 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--config", str(cfg), "solve", "--rights", "1")
     assert code == 2 and out == ""
     assert "unknown config key(s) lam" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--config", "", "solve"), ("solve", "--config", ""), ("verify", "--config", "")],
+)
+def test_empty_config_path_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # An empty --config is an error, not "no config": it must not switch off
+    # MSTOP_CONFIG either.
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text("lam = 0.2\n")
+    monkeypatch.setenv("MSTOP_CONFIG", str(cfg))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert "--config is empty" in error["error"] and error["exit_code"] == 2
+
+
+def test_empty_config_env_var_is_unset(capsys, monkeypatch):
+    monkeypatch.setenv("MSTOP_CONFIG", "")
+    code, out, err = run_cli(capsys, "solve", "--rights", "1")
+    assert code == 0 and err == ""
+    monkeypatch.delenv("MSTOP_CONFIG")
+    assert run_cli(capsys, "solve", "--rights", "1") == (0, out, "")
 
 
 def test_table_rejects_config_before_subcommand(tmp_path, capsys):

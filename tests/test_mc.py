@@ -36,6 +36,25 @@ def test_first_passage_rejects_state_above_level():
         sample_first_passage(4.0, 3.0, REF_MODEL, rng)
 
 
+@pytest.mark.parametrize(
+    "x, level, message",
+    [
+        (math.nan, 3.0, "x must be positive and finite"),
+        (-1.0, 3.0, "x must be positive and finite"),
+        (0.0, 3.0, "x must be positive and finite"),
+        (np.array([2.0, math.nan]), 3.0, "x must be positive and finite"),
+        (2.0, math.nan, "level must be positive and finite"),
+        (2.0, math.inf, "level must be positive and finite"),
+        (2.0, np.array([3.0, math.inf]), "level must be positive and finite"),
+        (math.inf, math.inf, "x must be positive and finite"),
+        (-2.0, -1.0, "x must be positive and finite"),
+    ],
+)
+def test_first_passage_rejects_invalid_input(x, level, message):
+    with pytest.raises(ValueError, match=message):
+        sample_first_passage(x, level, REF_MODEL, np.random.default_rng(1))
+
+
 def test_first_passage_requires_net_drift():
     rng = np.random.default_rng(1)
     flat = GbmModel(mu=0.005, sigma=0.125, r=0.05, lam=0.1, strike=2.0)
@@ -52,6 +71,39 @@ def test_first_passage_broadcasts_scalar_start():
         np.full(3, 2.0), levels, REF_MODEL, np.random.default_rng(7)
     )
     assert isinstance(got, np.ndarray) and got.shape == (3,)
+    assert np.array_equal(got, want)
+
+
+def _full_first_passage(x, level, model, rng):
+    """The inverse-Gaussian transform run on every entry and masked to 0
+    where the log distance is 0: the sampler must reproduce it bit for bit."""
+    d = np.log(level / x)
+    mean = d / model.net_drift
+    shape = d * d / (model.sigma * model.sigma)
+    mean = np.where(mean > 0.0, mean, 1.0)
+    shape = np.where(shape > 0.0, shape, 1.0)
+    z = rng.standard_normal(d.shape)
+    u = rng.random(d.shape)
+    w = mean * (z * z)
+    cand = mean + mean / (2.0 * shape) * (w - np.sqrt(w * (4.0 * shape + w)))
+    tau = np.where(u <= mean / (mean + cand), cand, mean * mean / cand)
+    return np.where(d > 0.0, tau, 0.0)
+
+
+def test_first_passage_transforms_only_entries_below_level():
+    # Entries at the level, one ulp below it (where ln(level / x) can round
+    # to 0) and far below, interleaved so that no run is uniform.
+    level = ORACLE["x_star_1"]
+    kinds = [level, np.nextafter(level, 0.0), 0.5 * level, 2.0]
+    x = np.array([kinds[k % 4] for k in range(4001)])
+    got = sample_first_passage(x, level, REF_MODEL, np.random.default_rng(17))
+    want = _full_first_passage(x, level, REF_MODEL, np.random.default_rng(17))
+    assert np.array_equal(got, want)
+    assert np.all(got[0::4] == 0.0) and np.all(got[2::4] > 0.0)
+    # Per-entry levels gather with the states.
+    levels = np.where(np.arange(x.size) % 3 == 0, x, 1.5 * x)
+    got = sample_first_passage(x, levels, REF_MODEL, np.random.default_rng(18))
+    want = _full_first_passage(x, levels, REF_MODEL, np.random.default_rng(18))
     assert np.array_equal(got, want)
 
 
