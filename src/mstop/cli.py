@@ -14,9 +14,10 @@ long flags), falling back to the reference configuration.  An empty
 file or a non-finite parameter is bad input; an empty MSTOP_CONFIG is
 unset.  table runs on the reference configuration and reads no config,
 neither --config nor MSTOP_CONFIG.  --rights is between 1 and MAX_RIGHTS
-(100).  Exit codes: 0 ok, 2 bad input (an unwritable --output too), 3 solver
-failure, 4 verification failure, 141 (128 + SIGPIPE) when the reader of
-stdout closed it early, as `| head` does.
+(100); a curve has at most MAX_CURVE_VALUES values.  Exit codes: 0 ok, 2
+bad input (an unwritable --output too), 3 solver failure, 4 verification
+failure, 141 (128 + SIGPIPE) when the reader of stdout closed it early, as
+`| head` does.
 """
 
 from __future__ import annotations
@@ -67,6 +68,12 @@ PAPER_TABLE1_ERRATUM = (3, 4, 5)
 # n^2.1; by n = 100 the reference thresholds have converged to x_hat_inf.
 MAX_RIGHTS = 100
 
+# Largest CSV `curve` writes, in values: points times the rights + 3 columns.
+# Its peak RSS grows by about 80-100 bytes per value (README's 200 000-point,
+# 3-right example: 123 MB for 1.2 M values); a curve at the cap peaks at
+# 0.4-0.55 GB for 1 to 100 rights.
+MAX_CURVE_VALUES = 5_000_000
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
@@ -75,14 +82,6 @@ EXIT_BROKEN_PIPE = 141
 
 
 # -- serialization ------------------------------------------------------------
-
-
-def _fmt_float(v: float) -> str:
-    if math.isnan(v):
-        return "NaN"
-    if math.isinf(v):
-        return "Infinity" if v > 0 else "-Infinity"
-    return format(v, ".17g")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -342,7 +341,9 @@ def cmd_verify(args: argparse.Namespace, model: GbmModel) -> int:
         _emit("\n".join(lines), args.output)
     else:
         _emit(json.dumps(report, indent=2), args.output)
-    return EXIT_OK if passed else EXIT_VERIFY
+    # A perturbed policy beating the base fails the check as a bad z does.
+    ok = passed and (args.perturb is None or dominance["base_dominates"])
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_curve(args: argparse.Namespace, model: GbmModel) -> int:
@@ -353,6 +354,12 @@ def cmd_curve(args: argparse.Namespace, model: GbmModel) -> int:
         raise ValueError(f"bad grid spec {args.grid!r}, expected lo:hi:points") from exc
     if not (lo > 0.0 and hi > lo and math.isfinite(hi) and n_pts >= 2):
         raise ValueError("bad grid spec: need finite 0 < lo < hi and points >= 2")
+    n_cols = args.rights + 3
+    if n_pts * n_cols > MAX_CURVE_VALUES:
+        raise ValueError(
+            f"--grid asks for {n_pts} points; with {n_cols} columns at most "
+            f"{MAX_CURVE_VALUES // n_cols} fit the {MAX_CURVE_VALUES}-value cap"
+        )
     ladder = solve_ladder(model, args.rights)
     inf_sol = solve_infinite(model)
     g = call_payoff(model.strike)
@@ -360,11 +367,14 @@ def cmd_curve(args: argparse.Namespace, model: GbmModel) -> int:
     columns = [grid, g.evaluate_many(grid)]
     columns += [v.evaluate_many(grid) for v in ladder.values]
     columns.append(inf_sol.v_inf.evaluate_many(grid))
+    # One % per row.  %.17g spells a finite float with digits, '.', '+', '-'
+    # and 'e' only, so the inf and nan tokens of the body are the non-finite
+    # values; they are respelled before the header, whose Vinf holds "inf".
+    row = ",".join(["%.17g"] * len(columns))
+    body = "\n".join([row % values for values in zip(*columns)])
+    body = body.replace("inf", "Infinity").replace("nan", "NaN")
     header = "x,g," + ",".join(f"V{i}" for i in range(1, args.rights + 1)) + ",Vinf"
-    rows = [header]
-    for row in zip(*columns):
-        rows.append(",".join(_fmt_float(v) for v in row))
-    _emit("\n".join(rows), args.output)
+    _emit(header + "\n" + body, args.output)
     return EXIT_OK
 
 

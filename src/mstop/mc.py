@@ -173,10 +173,12 @@ def _passage_times(
 
 
 def _ig_transform(mean: Array, shape: Array, z: Array, u: Array) -> Array:
-    # Michael-Schucany-Haas transformation.  The guards keep an entry whose
-    # mean or shape underflowed to 0 away from a division by 0.
-    mean = np.where(mean > 0.0, mean, 1.0)
-    shape = np.where(shape > 0.0, shape, 1.0)
+    """Inverse-Gaussian draws by the Michael-Schucany-Haas transformation.
+
+    Every mean and shape must be positive: _passage_times passes only
+    entries below the level, whose log distance is at least about 2.2e-16,
+    so one underflows to 0 only for parameters near 1e290 or beyond.
+    """
     y = z * z
     w = mean * y
     cand = mean + mean / (2.0 * shape) * (w - np.sqrt(w * (4.0 * shape + w)))

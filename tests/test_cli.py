@@ -5,9 +5,11 @@ import subprocess
 import numpy as np
 import pytest
 
-from mstop.cli import EXIT_BROKEN_PIPE, MAX_RIGHTS, main
+from mstop.cli import EXIT_BROKEN_PIPE, MAX_CURVE_VALUES, MAX_RIGHTS, main
 from mstop.finite import solve_ladder
+from mstop.infinite import solve_infinite
 from mstop.mc import policy_dominance_scan
+from mstop.powerfn import PiecewisePowerSum, call_payoff
 
 from conftest import ORACLE, PAPER_TABLE1, REF_MODEL, run_python
 
@@ -248,6 +250,36 @@ def test_verify_perturb_json_is_base_report_plus_scan(capsys):
     assert out == json.dumps(report, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("dominates", [True, False])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_perturb_exit_code_covers_scan(capsys, monkeypatch, fmt, dominates):
+    # The base estimate sits on the analytic value, so the z-test passes and
+    # the exit code is the scan's alone: 4 when a variant beats the base.
+    analytic = solve_ladder(REF_MODEL, 2).values[-1](2.0)
+
+    def scan(model, thresholds, x0, perturbation, n_paths, seed, workers):
+        return {
+            "base_mean": analytic,
+            "base_se": 0.01,
+            "perturbation": perturbation,
+            "n_paths": n_paths,
+            "seed": seed,
+            "variants": [],
+            "base_dominates": dominates,
+        }
+
+    monkeypatch.setattr("mstop.cli.policy_dominance_scan", scan)
+    code, out, _ = run_cli(
+        capsys, "verify", "--rights", "2", "--perturb", "0.05", "--format", fmt
+    )
+    assert code == (0 if dominates else 4)
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["pass"] and report["dominance"]["base_dominates"] == dominates
+    else:
+        assert "-> pass" in out and ("VIOLATION" in out) != dominates
+
+
 @pytest.mark.parametrize(
     "argv", [("--perturb", "0.5"), ("--workers", "0"), ("--workers", "-3")]
 )
@@ -297,6 +329,83 @@ def test_curve_bad_grid_exit_2(capsys):
     assert code == 2
     code, out, err = run_cli(capsys, "curve", "--rights", "2", "--grid", "0.5:inf:4")
     assert code == 2 and out == "" and "finite" in err
+
+
+def _reference_fmt(v):
+    # The writer's spelling of one value: 17 significant digits, and the JSON
+    # reports' tokens for the non-finite values.
+    if math.isnan(v):
+        return "NaN"
+    if math.isinf(v):
+        return "Infinity" if v > 0 else "-Infinity"
+    return format(v, ".17g")
+
+
+def _reference_csv(rights, columns):
+    """The CSV `mstop curve` writes for `columns`, formatted value by value."""
+    lines = ["x,g," + ",".join(f"V{i}" for i in range(1, rights + 1)) + ",Vinf"]
+    lines += [",".join(map(_reference_fmt, row)) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_curve(rights, lo, hi, points):
+    ladder = solve_ladder(REF_MODEL, rights)
+    grid = np.geomspace(lo, hi, points)
+    columns = [grid, call_payoff(REF_MODEL.strike).evaluate_many(grid)]
+    columns += [v.evaluate_many(grid) for v in ladder.values]
+    columns.append(solve_infinite(REF_MODEL).v_inf.evaluate_many(grid))
+    return _reference_csv(rights, columns)
+
+
+def test_curve_bytes_match_per_value_format(capsys):
+    code, out, _ = run_cli(capsys, "curve", "--rights", "5", "--grid", "0.5:10:2000")
+    assert code == 0
+    assert out == _reference_curve(5, 0.5, 10.0, 2000)
+
+
+def test_curve_overflow_writes_infinity(capsys):
+    # At x = 1.7e308, V2 and Vinf overflow; the CSV spells them Infinity.
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, out, _ = run_cli(capsys, "curve", "--rights", "3", "--grid", "1:1.7e308:3")
+        expected = _reference_curve(3, 1.0, 1.7e308, 3)
+    assert code == 0
+    assert out == expected
+    assert out.splitlines()[-1].endswith(",Infinity,Infinity,Infinity")
+
+
+def test_curve_non_finite_and_signed_zero_bytes(capsys, monkeypatch):
+    # The ladder and V_inf are solved before evaluate_many is replaced, since
+    # the ladder's own checks evaluate its pieces.
+    ladder, inf_sol = solve_ladder(REF_MODEL, 2), solve_infinite(REF_MODEL)
+    monkeypatch.setattr("mstop.cli.solve_ladder", lambda *_: ladder)
+    monkeypatch.setattr("mstop.cli.solve_infinite", lambda *_: inf_sol)
+    specials = np.array([math.nan, -math.inf, -0.0, math.inf, 0.25])
+    monkeypatch.setattr(PiecewisePowerSum, "evaluate_many", lambda self, x: specials)
+    code, out, _ = run_cli(capsys, "curve", "--rights", "2", "--grid", "1:5:5")
+    assert code == 0
+    assert out == _reference_csv(2, [np.geomspace(1.0, 5.0, 5)] + [specials] * 4)
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == [
+        "NaN", "-Infinity", "-0", "Infinity", "0.25"
+    ]
+
+
+def test_curve_point_cap_exit_2_before_allocating(capsys, monkeypatch):
+    def no_work(*_):
+        raise AssertionError("worked before checking the point count")
+
+    monkeypatch.setattr("mstop.cli.solve_ladder", no_work)
+    monkeypatch.setattr("mstop.cli.np.geomspace", no_work)
+    code, out, err = run_cli(
+        capsys, "curve", "--rights", "2", "--grid", "0.5:10:10000000000000"
+    )
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["exit_code"] == 2 and str(MAX_CURVE_VALUES // 5) in error["error"]
+    # The most points the cap allows at 5 columns pass the check, and so
+    # does README's 200 000-point, 3-right example.
+    for rights, points in (("2", MAX_CURVE_VALUES // 5), ("3", 200_000)):
+        with pytest.raises(AssertionError, match="worked before"):
+            main(["curve", "--rights", rights, "--grid", f"0.5:10:{points}"])
 
 
 def test_curve_writes_file(tmp_path, capsys):
