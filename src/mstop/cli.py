@@ -10,14 +10,14 @@ Model parameters come from flags, falling back to an INI config file
 (--config, before the subcommand or after solve/verify/curve, or the
 MSTOP_CONFIG environment variable; flat key=value entries named after the
 long flags), falling back to the reference configuration.  An empty
---config path, an unknown key, a value that is not a number, a malformed
-file or a non-finite parameter is bad input; an empty MSTOP_CONFIG is
-unset.  table runs on the reference configuration and reads no config,
-neither --config nor MSTOP_CONFIG.  --rights is between 1 and MAX_RIGHTS
-(100); a curve has at most MAX_CURVE_VALUES values.  Exit codes: 0 ok, 2
-bad input (an unwritable --output too), 3 solver failure, 4 verification
-failure, 141 (128 + SIGPIPE) when the reader of stdout closed it early, as
-`| head` does.
+--config path, a section header, an unknown key, a value that is not a
+number, a malformed file or a non-finite parameter is bad input; an empty
+MSTOP_CONFIG is unset.  table runs on the reference configuration and reads
+no config, neither --config nor MSTOP_CONFIG.  --rights is between 1 and
+MAX_RIGHTS (100); a curve has at most MAX_CURVE_VALUES values.  Exit codes:
+0 ok, 2 bad input (an unwritable --output too), 3 solver failure, 4
+verification failure, 141 (128 + SIGPIPE) when the reader of stdout closed
+it early, as `| head` does.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ PAPER_TABLE1_ERRATUM = (3, 4, 5)
 MAX_RIGHTS = 100
 
 # Largest CSV `curve` writes, in values: points times the rights + 3 columns.
-# Its peak RSS grows by about 80-100 bytes per value (README's 200 000-point,
-# 3-right example: 123 MB for 1.2 M values); a curve at the cap peaks at
-# 0.4-0.55 GB for 1 to 100 rights.
+# Its peak RSS grows by about 55 bytes per value (README's 200 000-point,
+# 3-right example: 98 MB for 1.2 M values); a curve at the cap peaks at
+# 0.30-0.32 GB for 1 to 100 rights.
 MAX_CURVE_VALUES = 5_000_000
 
 EXIT_OK = 0
@@ -84,14 +84,17 @@ EXIT_BROKEN_PIPE = 141
 # -- serialization ------------------------------------------------------------
 
 
-def _emit(text: str, output: str | None) -> None:
-    """Write `text` and a newline to stdout or, the same bytes, to `output`."""
+def _emit(output: str | None, *lines: str) -> None:
+    """Write each of `lines` and a newline to stdout or, the same bytes, to
+    `output`.  The lines are written one after another, not joined, so a
+    large curve is not copied once more."""
+    parts = [part for line in lines for part in (line, "\n")]
     if output is None or output == "-":
-        sys.stdout.write(text + "\n")
+        sys.stdout.writelines(parts)
     else:
         try:
             with open(output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text + "\n")
+                fh.writelines(parts)
         except OSError as exc:
             raise ValueError(f"cannot write output: {exc}") from exc
 
@@ -118,27 +121,35 @@ def _load_config(path: str | None) -> dict[str, float]:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}") from exc
-    flat = not text.lstrip().startswith("[")
-    if flat:
-        text = "[mstop]\n" + text
-    parser = configparser.ConfigParser()
+    # The file is flat: it gets its one [mstop] header here.  No header can
+    # name the empty section, so [DEFAULT] is an ordinary section below and
+    # is rejected like any other header.
+    parser = configparser.ConfigParser(default_section="")
+    repeated = []
     try:
-        parser.read_string(text, source=path)
+        parser.read_string("[mstop]\n" + text, source=path)
+    except configparser.DuplicateSectionError as exc:
+        repeated = [exc.section]
     except configparser.Error as exc:
-        note = " (line numbers count an added [mstop] header line)" if flat else ""
-        raise ValueError(f"bad config file: {exc}{note}") from exc
-    merged: dict[str, str] = {}
-    for section in parser.sections():
-        merged.update(parser[section])
-    merged.update(parser.defaults())
-    unknown = sorted(set(merged) - set(MODEL_PARAMS))
+        raise ValueError(
+            f"bad config file: {exc} (line numbers count an added [mstop] header line)"
+        ) from exc
+    # The sections read before a repeated one come first in the file.
+    headers = parser.sections()[1:] + repeated
+    if headers:
+        raise ValueError(
+            f"config file {path} has a section header ([{headers[0]}]): a config "
+            "file holds flat key = value lines, so drop its headers"
+        )
+    section = parser["mstop"]
+    unknown = sorted(set(section) - set(MODEL_PARAMS))
     if unknown:
         raise ValueError(
             f"unknown config key(s) {', '.join(unknown)} in {path}; "
             f"expected {', '.join(MODEL_PARAMS)}"
         )
     values = {}
-    for key, value in merged.items():
+    for key, value in section.items():
         try:
             values[key] = float(value)
         except ValueError:
@@ -221,9 +232,9 @@ def cmd_solve(args: argparse.Namespace, model: GbmModel) -> int:
             + " ".join(f"{v:.6f}" for v in values),
             f"v_inf at x0: {v_inf_x0:.6f}",
         ]
-        _emit("\n".join(lines), args.output)
+        _emit(args.output, *lines)
     else:
-        _emit(json.dumps(report, indent=2), args.output)
+        _emit(args.output, json.dumps(report, indent=2))
     return EXIT_OK
 
 
@@ -268,7 +279,7 @@ def cmd_table(args: argparse.Namespace, model: GbmModel) -> int:
             "published_erratum": list(PAPER_TABLE1_ERRATUM),
             "x_hat_inf": x_hat,
         }
-        _emit(json.dumps(report, indent=2), args.output)
+        _emit(args.output, json.dumps(report, indent=2))
     else:
         head = "i         " + " ".join(f"{i:>10d}" for i in range(1, 6))
         comp = "computed  " + " ".join(f"{v:10.6f}" for v in computed)
@@ -281,7 +292,7 @@ def cmd_table(args: argparse.Namespace, model: GbmModel) -> int:
             + " are an erratum, not the solution of the recursion "
             '(README, "Published table erratum")'
         )
-        _emit("\n".join([head, comp, publ, diff, tail, note]), args.output)
+        _emit(args.output, head, comp, publ, diff, tail, note)
     return EXIT_OK
 
 
@@ -338,9 +349,9 @@ def cmd_verify(args: argparse.Namespace, model: GbmModel) -> int:
                 f"dominance scan (+-{args.perturb:.6f}): "
                 + ("base dominates" if dominance["base_dominates"] else "VIOLATION")
             )
-        _emit("\n".join(lines), args.output)
+        _emit(args.output, *lines)
     else:
-        _emit(json.dumps(report, indent=2), args.output)
+        _emit(args.output, json.dumps(report, indent=2))
     # A perturbed policy beating the base fails the check as a bad z does.
     ok = passed and (args.perturb is None or dominance["base_dominates"])
     return EXIT_OK if ok else EXIT_VERIFY
@@ -374,7 +385,7 @@ def cmd_curve(args: argparse.Namespace, model: GbmModel) -> int:
     body = "\n".join([row % values for values in zip(*columns)])
     body = body.replace("inf", "Infinity").replace("nan", "NaN")
     header = "x,g," + ",".join(f"V{i}" for i in range(1, args.rights + 1)) + ",Vinf"
-    _emit(header + "\n" + body, args.output)
+    _emit(args.output, header, body)
     return EXIT_OK
 
 

@@ -68,11 +68,6 @@ def perpetual_call_threshold(e: float, strike: float) -> float:
     return e / (e - 1.0) * strike
 
 
-def x_star_single(model: GbmModel) -> float:
-    """Single-right optimal threshold b K / (b - 1)."""
-    return perpetual_call_threshold(derive_exponents(model).b, model.strike)
-
-
 def solve_single(
     model: GbmModel,
 ) -> tuple[float, PiecewisePowerSum, PiecewisePowerSum]:
@@ -89,8 +84,6 @@ def continuation_value(
 ) -> PiecewisePowerSum:
     """H^i = g + lam * R_{r+lam} V^{i-1} in the exact algebra."""
     g = call_payoff(model.strike)
-    if v_prev.is_zero():
-        return g
     return combine(g, resolvent_apply(v_prev, model.r + model.lam, model), 1.0, model.lam)
 
 
@@ -292,33 +285,3 @@ def _slope(poly: Poly, x: float) -> float:
     gives x^(p-1) (p C_p + C_p') at ln x."""
     terms = [(p - 1.0, ratio_coefs(p, cs)) for p, cs in poly.items()]
     return _value(terms, x, math.log(x))
-
-
-def check_ratio_monotonicity(
-    model: GbmModel, v_prev: PiecewisePowerSum, n_points: int = 500
-) -> dict:
-    """Check that x -> lam (R_{r+lam} v_prev)(x) / x^b is nonincreasing.
-
-    Scans a log grid spanning [x_hat/10, 10 x*_1]; returns a report dict
-    with the worst increase and its location.
-    """
-    exps = derive_exponents(model)
-    x_hat = perpetual_call_threshold(exps.beta, model.strike)
-    x1 = perpetual_call_threshold(exps.b, model.strike)
-    grid = np.geomspace(x_hat / 10.0, 10.0 * x1, n_points)
-    if v_prev.is_zero():
-        ratio = np.zeros_like(grid)
-    else:
-        rv = resolvent_apply(v_prev, model.r + model.lam, model)
-        ratio = model.lam * rv.evaluate_many(grid) / grid**exps.b
-    diffs = np.diff(ratio)
-    scale_ = max(1.0, float(np.abs(ratio).max()) if ratio.size else 1.0)
-    worst = float(diffs.max()) if diffs.size else 0.0
-    idx = int(diffs.argmax()) if diffs.size else 0
-    return {
-        "nonincreasing": worst <= 1e-10 * scale_,
-        "worst_increase": worst,
-        "at_x": float(grid[idx]),
-        "ratio": ratio,
-        "grid": grid,
-    }

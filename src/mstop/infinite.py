@@ -3,22 +3,19 @@
 With unlimited exercise rights the problem reduces to a single stopping
 problem at the stiffer discount r + lam whose value V-hat admits a Riesz
 representation with an explicit density sigma; the value of the original
-problem is then V_inf = R_r sigma.  For the call payoff everything is in
+problem is then V_inf = R_r sigma, which needs V-hat's threshold and
+density but not V-hat itself.  For the call payoff everything is in
 closed form: the auxiliary threshold is x_hat = beta K / (beta - 1) and
 V_inf is c1 x + c2 + c3 x^a above x_hat and c4 x^b below it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-import numpy.typing as npt
-
-from mstop.finite import continuation_value, perpetual_call_threshold, threshold_form
+from mstop.finite import perpetual_call_threshold
 from mstop.model import Exponents, GbmModel, derive_exponents, require_valid
-from mstop.powerfn import PiecewisePowerSum, PowerTerm, call_payoff, resolvent_apply
+from mstop.powerfn import PiecewisePowerSum, PowerTerm, resolvent_apply
 
 # Relative tolerance for reconciling the algebraic resolvent against the
 # closed-form coefficients; a mismatch signals an implementation bug.
@@ -34,22 +31,10 @@ class InfiniteSolution:
     x_hat_inf: float
     sigma_density: PiecewisePowerSum
     v_inf: PiecewisePowerSum
-    v_hat: PiecewisePowerSum
     c1: float
     c2: float
     c3: float
     c4: float
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Pointwise slack of v - g - lam * R_{r+lam} v on a grid."""
-
-    grid: npt.NDArray[np.float64]
-    slack: npt.NDArray[np.float64]
-    ok: bool
-    min_slack: float
-    max_equality_error: float
 
 
 def x_hat_infinite(model: GbmModel) -> float:
@@ -57,20 +42,8 @@ def x_hat_infinite(model: GbmModel) -> float:
     return perpetual_call_threshold(derive_exponents(model).beta, model.strike)
 
 
-def solve_auxiliary(model: GbmModel) -> tuple[float, PiecewisePowerSum]:
-    """Auxiliary single stopping problem at discount r + lam.
-
-    Returns (x_hat, v_hat) where v_hat is x - K above x_hat and
-    ((x_hat - K) / x_hat^beta) x^beta below.
-    """
-    require_valid(model)
-    beta = derive_exponents(model).beta
-    x_hat = perpetual_call_threshold(beta, model.strike)
-    return x_hat, threshold_form(call_payoff(model.strike), x_hat, beta)
-
-
 def riesz_density(model: GbmModel, x_hat: float) -> PiecewisePowerSum:
-    """Representing density of v_hat: (r + lam - mu) x - K (r + lam) above
+    """Riesz density of V-hat: (r + lam - mu) x - K (r + lam) above
     x_hat, zero below."""
     require_valid(model)
     rl = model.r + model.lam
@@ -111,9 +84,8 @@ def solve_infinite(model: GbmModel) -> InfiniteSolution:
     required to agree to COEFF_RECONCILE_TOL relative on every coefficient,
     making each path a regression oracle for the other.
     """
-    require_valid(model)
     exps = derive_exponents(model)
-    x_hat, v_hat = solve_auxiliary(model)
+    x_hat = perpetual_call_threshold(exps.beta, model.strike)
     density = riesz_density(model, x_hat)
     v_inf = resolvent_apply(density, model.r, model)
 
@@ -136,36 +108,8 @@ def solve_infinite(model: GbmModel) -> InfiniteSolution:
         x_hat_inf=x_hat,
         sigma_density=density,
         v_inf=v_inf,
-        v_hat=v_hat,
         c1=c1,
         c2=c2,
         c3=c3,
         c4=c4,
-    )
-
-
-def check_verification(
-    v: PiecewisePowerSum,
-    model: GbmModel,
-    grid: npt.NDArray[np.float64],
-    equality_from: float | None = None,
-) -> VerificationReport:
-    """Check the excessivity inequality v >= g + lam R_{r+lam} v on a grid.
-
-    Equality (to 1e-8) is required at grid points >= equality_from when
-    given; any slack below -1e-9 fails the report.
-    """
-    grid = np.asarray(grid, dtype=float)
-    rhs = continuation_value(model, v)
-    slack = v.evaluate_many(grid) - rhs.evaluate_many(grid)
-    min_slack = float(slack.min()) if slack.size else 0.0
-    ok = min_slack >= -1e-9
-    max_eq = 0.0
-    if equality_from is not None:
-        on_stop = grid >= equality_from
-        if np.any(on_stop):
-            max_eq = float(np.abs(slack[on_stop]).max())
-            ok = ok and max_eq <= 1e-8
-    return VerificationReport(
-        grid=grid, slack=slack, ok=ok, min_slack=min_slack, max_equality_error=max_eq
     )

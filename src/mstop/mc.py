@@ -29,7 +29,7 @@ each (base totals and one paired difference per variant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -80,7 +80,6 @@ class McEstimate:
     std_err: float
     n_paths: int
     seed: int
-    exercised_counts: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n_paths < 1:
@@ -297,18 +296,11 @@ def simulate_policy(
 ) -> McEstimate:
     """Estimate the expected discounted total payoff of a threshold policy.
 
-    Every path exercises all of its rights (hitting times are a.s. finite),
-    so `exercised_counts` is {n_rights: n_paths}.
+    Every path exercises all of its rights: hitting times are a.s. finite.
     """
     totals = _columns(model, policy, [], n_paths, seed, workers)[0]
     mean, std_err = _mean_se(totals)
-    return McEstimate(
-        mean=mean,
-        std_err=std_err,
-        n_paths=n_paths,
-        seed=seed,
-        exercised_counts={policy.n_rights: n_paths},
-    )
+    return McEstimate(mean=mean, std_err=std_err, n_paths=n_paths, seed=seed)
 
 
 def policy_dominance_scan(

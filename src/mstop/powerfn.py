@@ -283,18 +283,6 @@ class PiecewisePowerSum:
         }
 
 
-def zero() -> PiecewisePowerSum:
-    return PiecewisePowerSum((), ((),))
-
-
-def constant(c: float) -> PiecewisePowerSum:
-    return PiecewisePowerSum((), ((PowerTerm(c, 0.0),),))
-
-
-def monomial(coef: float, exponent: float) -> PiecewisePowerSum:
-    return PiecewisePowerSum((), ((PowerTerm(coef, exponent),),))
-
-
 def call_payoff(strike: float) -> PiecewisePowerSum:
     """(x - K)^+ as a two-piece power sum."""
     return PiecewisePowerSum(
@@ -323,21 +311,6 @@ def combine(
         _axpy(m, g.polys[bisect_left(g.breakpoints, probe)], cg)
         polys.append(m)
     return PiecewisePowerSum.from_polys(bps, polys)
-
-
-def ratio_derivative(f: PiecewisePowerSum, p: float) -> PiecewisePowerSum:
-    """Exact derivative of x -> f(x) / x^p.
-
-    Term c x^q ln^k maps to c(q-p) x^{q-p-1} ln^k + c k x^{q-p-1} ln^{k-1}.
-    """
-    polys: list[Poly] = []
-    for poly in f.polys:
-        m: Poly = {}
-        for q, cs in poly.items():
-            # Distinct q can land on one float after the shift: accumulate.
-            _axpy(m, {q - p - 1.0: ratio_coefs(q - p, cs)}, 1.0)
-        polys.append(m)
-    return PiecewisePowerSum.from_polys(f.breakpoints, polys)
 
 
 def resolvent_apply(

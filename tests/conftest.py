@@ -1,5 +1,5 @@
-"""Shared fixtures: the reference model, frozen oracle values, and
-randomized-input factories.
+"""Shared fixtures: the reference model, frozen oracle values,
+randomized-input factories, and test-only helpers on the algebra.
 
 The ORACLE constants were derived independently of the package (separate
 prototype algebra, piecewise adaptive quadrature of the resolvent
@@ -19,8 +19,18 @@ import pytest
 
 import mstop
 from mstop.cli import PAPER_TABLE1  # noqa: F401 - the published table, for tests
-from mstop.model import GbmModel
-from mstop.powerfn import PiecewisePowerSum, PowerTerm
+from mstop.finite import continuation_value, perpetual_call_threshold, threshold_form
+from mstop.infinite import InfiniteSolution
+from mstop.model import GbmModel, derive_exponents
+from mstop.powerfn import (
+    PiecewisePowerSum,
+    Poly,
+    PowerTerm,
+    _axpy,
+    call_payoff,
+    ratio_coefs,
+    resolvent_apply,
+)
 
 # Reference configuration used throughout the published worked example.
 REF_MODEL = GbmModel(mu=0.008, sigma=0.125, r=0.05, lam=0.1, strike=2.0)
@@ -74,6 +84,79 @@ def ref_model() -> GbmModel:
 @pytest.fixture
 def oracle() -> dict:
     return ORACLE
+
+
+# -- test-only helpers on the algebra ------------------------------------------
+
+
+def zero() -> PiecewisePowerSum:
+    return PiecewisePowerSum((), ((),))
+
+
+def constant(c: float) -> PiecewisePowerSum:
+    return PiecewisePowerSum((), ((PowerTerm(c, 0.0),),))
+
+
+def monomial(coef: float, exponent: float) -> PiecewisePowerSum:
+    return PiecewisePowerSum((), ((PowerTerm(coef, exponent),),))
+
+
+def ratio_derivative(f: PiecewisePowerSum, p: float) -> PiecewisePowerSum:
+    """Exact derivative of x -> f(x) / x^p, as a function: the independent
+    reference for finite._slope and the first-order condition.
+
+    Term c x^q ln^k maps to c(q-p) x^{q-p-1} ln^k + c k x^{q-p-1} ln^{k-1}.
+    """
+    polys: list[Poly] = []
+    for poly in f.polys:
+        m: Poly = {}
+        for q, cs in poly.items():
+            # Distinct q can land on one float after the shift: accumulate.
+            _axpy(m, {q - p - 1.0: ratio_coefs(q - p, cs)}, 1.0)
+        polys.append(m)
+    return PiecewisePowerSum.from_polys(f.breakpoints, polys)
+
+
+def check_ratio_monotonicity(
+    model: GbmModel, v_prev: PiecewisePowerSum, n_points: int = 500
+) -> dict:
+    """Check that x -> lam (R_{r+lam} v_prev)(x) / x^b is nonincreasing.
+
+    Scans a log grid spanning [x_hat/10, 10 x*_1]; returns a report dict
+    with the worst increase and its location.
+    """
+    exps = derive_exponents(model)
+    x_hat = perpetual_call_threshold(exps.beta, model.strike)
+    x1 = perpetual_call_threshold(exps.b, model.strike)
+    grid = np.geomspace(x_hat / 10.0, 10.0 * x1, n_points)
+    rv = resolvent_apply(v_prev, model.r + model.lam, model)
+    ratio = model.lam * rv.evaluate_many(grid) / grid**exps.b
+    diffs = np.diff(ratio)
+    scale_ = max(1.0, float(np.abs(ratio).max()))
+    worst = float(diffs.max())
+    idx = int(diffs.argmax())
+    return {
+        "nonincreasing": worst <= 1e-10 * scale_,
+        "worst_increase": worst,
+        "at_x": float(grid[idx]),
+        "ratio": ratio,
+        "grid": grid,
+    }
+
+
+def v_hat_of(sol: InfiniteSolution) -> PiecewisePowerSum:
+    """V-hat, the value of the auxiliary (r + lam)-discounted problem:
+    x - K above x_hat and proportional to x^beta below."""
+    g = call_payoff(sol.model.strike)
+    return threshold_form(g, sol.x_hat_inf, sol.exponents.beta)
+
+
+def verification_slack(
+    v: PiecewisePowerSum, model: GbmModel, grid: np.ndarray
+) -> np.ndarray:
+    """v - g - lam R_{r+lam} v on the grid: nonnegative where v is excessive,
+    zero where it stops."""
+    return v.evaluate_many(grid) - continuation_value(model, v).evaluate_many(grid)
 
 
 def random_power_sum(

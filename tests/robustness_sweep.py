@@ -1,4 +1,5 @@
-"""Robustness sweep over a wide parameter box (not collected by pytest).
+"""Robustness sweep over a wide parameter box (not collected by pytest;
+tests/test_guards.py runs it through run_sweep).
 
 Draws 600 models with numpy.random.default_rng(0), each in the order
     r ~ 10^U(-3, 0), sigma ~ 10^U(-3, 0.3),
@@ -23,6 +24,7 @@ from __future__ import annotations
 import re
 import warnings
 from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,32 +68,52 @@ def delta_cross_check(ladder) -> tuple[float, int]:
     return worst, stage
 
 
-def main() -> None:
+@dataclass
+class SweepReport:
+    """What the sweep found: the kept models, each failure with the call that
+    raised it, the solved models that warned about smooth fit, and each solved
+    ladder's Delta cross-check (gap, stage, model)."""
+
+    kept: list[GbmModel]
+    failures: list[tuple[str, Exception]] = field(default_factory=list)
+    warned: int = 0
+    delta_gaps: list[tuple[float, int, GbmModel]] = field(default_factory=list)
+
+
+def run_sweep() -> SweepReport:
     models = draw_models(np.random.default_rng(0), DRAWS)
     kept = [m for m in models if not validate(m, require_positive_net_drift=True)]
-    failures: Counter[str] = Counter()
-    warned = 0
-    delta_gaps = []
+    report = SweepReport(kept)
     for m in kept:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
+            call = "solve_ladder"
             try:
                 ladder = solve_ladder(m, RIGHTS)
-                delta_gaps.append((*delta_cross_check(ladder), m))
+                report.delta_gaps.append((*delta_cross_check(ladder), m))
+                call = "solve_infinite"
                 solve_infinite(m)
             except Exception as exc:  # noqa: BLE001 - every failure is counted
-                failures[failure_class(exc)] += 1
+                report.failures.append((call, exc))
                 continue
-        warned += any("first-derivative mismatch" in str(w.message) for w in caught)
-    print(f"kept {len(kept)} of {DRAWS} draws")
-    print(f"failed {sum(failures.values())}")
+        report.warned += any(
+            "first-derivative mismatch" in str(w.message) for w in caught
+        )
+    return report
+
+
+def main() -> None:
+    report = run_sweep()
+    failures = Counter(failure_class(exc) for _, exc in report.failures)
+    print(f"kept {len(report.kept)} of {DRAWS} draws")
+    print(f"failed {len(report.failures)}")
     for name, count in sorted(failures.items()):
         print(f"  {count:4d}  {name}")
-    print(f"solved with a smooth-fit warning {warned}")
-    over = [g for g in delta_gaps if g[0] > DELTA_RTOL]
+    print(f"solved with a smooth-fit warning {report.warned}")
+    over = [g for g in report.delta_gaps if g[0] > DELTA_RTOL]
     print(
         f"solved ladders with a Delta cross-check gap above {DELTA_RTOL:g}: "
-        f"{len(over)} of {len(delta_gaps)}"
+        f"{len(over)} of {len(report.delta_gaps)}"
     )
     if over:
         gap, stage, m = max(over, key=lambda g: g[0])

@@ -15,14 +15,22 @@ import math
 import numpy as np
 import pytest
 
-from mstop.finite import check_ratio_monotonicity, solve_ladder, x_star_single
-from mstop.infinite import check_verification, solve_infinite, x_hat_infinite
+from mstop.finite import solve_ladder, solve_single
+from mstop.infinite import solve_infinite, x_hat_infinite
 from mstop.mc import PolicySpec, policy_dominance_scan, sample_first_passage, simulate_policy
 from mstop.model import GbmModel, derive_exponents
 from mstop.powerfn import combine, resolvent_apply
 from mstop.resolvent_numeric import quad_resolvent
 
-from conftest import PAPER_TABLE1, REF_MODEL, random_power_sum, random_valid_model
+from conftest import (
+    PAPER_TABLE1,
+    REF_MODEL,
+    check_ratio_monotonicity,
+    random_power_sum,
+    random_valid_model,
+    v_hat_of,
+    verification_slack,
+)
 from fd_obstacle import fd_ladder
 
 RL = REF_MODEL.r + REF_MODEL.lam
@@ -43,7 +51,7 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_anchors(ladder5):
-    x1 = x_star_single(REF_MODEL)
+    x1 = solve_single(REF_MODEL)[0]
     x_hat = x_hat_infinite(REF_MODEL)
     checks = [
         abs(x1 - 3.317653) <= 1e-5,
@@ -155,15 +163,14 @@ def test_criterion_4_resolvent_equation():
 
 def test_criterion_5_verification_inequality(inf_sol):
     grid = np.geomspace(0.4, 25.0, 500)
-    report = check_verification(
-        inf_sol.v_inf, REF_MODEL, grid, equality_from=inf_sol.x_hat_inf
-    )
-    ok = report.min_slack >= -1e-9 and report.max_equality_error <= 1e-8
+    slack = verification_slack(inf_sol.v_inf, REF_MODEL, grid)
+    min_slack = float(slack.min())
+    max_eq = float(np.abs(slack[grid >= inf_sol.x_hat_inf]).max())
+    ok = min_slack >= -1e-9 and max_eq <= 1e-8
     _report(
         5,
         ok,
-        f"min slack {report.min_slack:.2e}, equality error "
-        f"{report.max_equality_error:.2e} on the stopping set",
+        f"min slack {min_slack:.2e}, equality error {max_eq:.2e} on the stopping set",
     )
     assert ok
 
@@ -222,11 +229,11 @@ def test_criterion_8_policy_dominance(ladder5):
 def test_criterion_9_degenerate_lambda():
     model = GbmModel(mu=0.008, sigma=0.125, r=0.05, lam=1e-8, strike=2.0)
     ladder = solve_ladder(model, 5)
-    x1 = x_star_single(model)
+    x1 = solve_single(model)[0]
     worst_x = max(abs(x - x1) for x in ladder.thresholds)
     sol = solve_infinite(model)
     grid = np.geomspace(0.5, 10.0, 200)
-    v_hat_vals = sol.v_hat.evaluate_many(grid)
+    v_hat_vals = v_hat_of(sol).evaluate_many(grid)
     diff = float(
         np.abs(sol.v_inf.evaluate_many(grid) - v_hat_vals).max()
         / max(1.0, np.abs(v_hat_vals).max())

@@ -104,6 +104,30 @@ def test_solve_overflow_names_stage_exit_3(capsys):
     assert "overflow in ladder stage 3" in error["error"] and error["exit_code"] == 3
 
 
+# beta is about 1255 here, so x_hat^beta underflows to 0.
+TINY_X_HAT_POWER_MODEL = (
+    "--mu=0.003534940877158942",
+    "--sigma=0.008222039746705065",
+    "--rate=0.01226113343401934",
+    "--lambda=57.66216902666691",
+    "--strike=0.5399313106697877",
+)
+
+
+def test_underflowing_x_hat_power_solves(capsys):
+    # V-hat's coefficient (x_hat - K) / x_hat^beta divides by 0 here; the
+    # infinite-rights solution needs only x_hat and the Riesz density.
+    code, out, err = run_cli(capsys, "solve", "--rights", "3", *TINY_X_HAT_POWER_MODEL)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert all(x > report["x_hat_inf"] for x in report["thresholds"])
+    code, out, err = run_cli(
+        capsys, "curve", "--rights", "3", "--grid", "0.05:5:50", *TINY_X_HAT_POWER_MODEL
+    )
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 51
+
+
 def test_solve_text_format_six_decimals(capsys):
     code, out, _ = run_cli(
         capsys, "solve", "--rights", "1", "--x0", "2", "--format", "text"
@@ -539,6 +563,12 @@ def test_repeat_invocations_byte_identical(capsys):
         ("mu = 0.009\nmu = 0.010\n", "already exists"),
         ("sigma = 0.125\nthis is not a key value pair\n", "parsing errors"),
         ("sigma = 0.125\nmu = abc\n", "config key mu is not a number: 'abc'"),
+        # A config file is flat: a header would decide which of several
+        # values of one key wins, so every header is rejected, the first named.
+        ("[DEFAULT]\nmu = 0.009\n[mstop]\nmu = 0.01\n", "header ([DEFAULT])"),
+        ("[a]\nmu = 0.009\n[b]\nmu = 0.0095\n", "header ([a])"),
+        ("mu = 0.009\n[other]\nmu = 0.0095\n", "header ([other])"),
+        ("[mstop]\nmu = 0.009\n", "header ([mstop])"),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, text, message):

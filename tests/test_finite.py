@@ -11,27 +11,27 @@ import pytest
 from mstop import finite
 from mstop.finite import (
     _assert_invariants,
-    check_ratio_monotonicity,
     continuation_value,
     delta,
     solve_ladder,
     solve_single,
     solve_threshold,
-    x_star_single,
 )
 from mstop.infinite import solve_infinite, x_hat_infinite
 from mstop.model import GbmModel, derive_exponents
-from mstop.powerfn import (
-    PiecewisePowerSum,
-    call_payoff,
-    combine,
+from mstop.powerfn import PiecewisePowerSum, call_payoff, combine
+
+from conftest import (
+    ORACLE,
+    REF_MODEL,
+    check_ratio_monotonicity,
     constant,
     monomial,
+    random_valid_model,
     ratio_derivative,
+    run_python,
     zero,
 )
-
-from conftest import ORACLE, REF_MODEL, random_valid_model, run_python
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +124,7 @@ def test_delta_zero_for_pure_power():
 
 
 def test_solve_threshold_zero_delta_is_single():
-    assert solve_threshold(REF_MODEL, 0.0) == x_star_single(REF_MODEL)
+    assert solve_threshold(REF_MODEL, 0.0) == solve_single(REF_MODEL)[0]
 
 
 def test_solve_threshold_rejects_positive_delta():
@@ -386,7 +386,7 @@ def test_smooth_fit_observed(ladder5):
 def test_degenerate_lambda_thresholds():
     model = GbmModel(mu=0.008, sigma=0.125, r=0.05, lam=1e-8, strike=2.0)
     ladder = solve_ladder(model, 3)
-    x1 = x_star_single(model)
+    x1 = solve_single(model)[0]
     for x in ladder.thresholds:
         assert abs(x - x1) <= 1e-3
 

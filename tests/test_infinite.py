@@ -2,17 +2,11 @@ import numpy as np
 import pytest
 
 from mstop.finite import solve_ladder
-from mstop.infinite import (
-    check_verification,
-    riesz_density,
-    solve_auxiliary,
-    solve_infinite,
-    x_hat_infinite,
-)
+from mstop.infinite import riesz_density, solve_infinite, x_hat_infinite
 from mstop.model import GbmModel
-from mstop.powerfn import call_payoff, zero
+from mstop.powerfn import call_payoff
 
-from conftest import ORACLE, REF_MODEL
+from conftest import ORACLE, REF_MODEL, v_hat_of, verification_slack, zero
 
 
 def test_x_hat_value():
@@ -20,7 +14,8 @@ def test_x_hat_value():
 
 
 def test_auxiliary_solution():
-    x_hat, v_hat = solve_auxiliary(REF_MODEL)
+    sol = solve_infinite(REF_MODEL)
+    x_hat, v_hat = sol.x_hat_inf, v_hat_of(sol)
     assert x_hat == pytest.approx(2.593508, abs=1e-6)
     assert v_hat(x_hat) == pytest.approx(x_hat - REF_MODEL.strike, rel=1e-12)
     assert v_hat(5.0) == pytest.approx(3.0, rel=1e-12)
@@ -31,7 +26,7 @@ def test_auxiliary_solution():
 
 def test_auxiliary_rejects_zero_strike():
     with pytest.raises(ValueError):
-        solve_auxiliary(GbmModel(mu=0.008, sigma=0.125, r=0.05, lam=0.1, strike=0.0))
+        solve_infinite(GbmModel(mu=0.008, sigma=0.125, r=0.05, lam=0.1, strike=0.0))
 
 
 def test_riesz_density_values():
@@ -93,7 +88,7 @@ def test_value_dominates_auxiliary_and_payoff():
     g = call_payoff(REF_MODEL.strike)
     grid = np.geomspace(0.3, 20.0, 200)
     v_inf = sol.v_inf.evaluate_many(grid)
-    v_hat = sol.v_hat.evaluate_many(grid)
+    v_hat = v_hat_of(sol).evaluate_many(grid)
     g_vals = g.evaluate_many(grid)
     assert np.all(v_inf - v_hat >= -1e-12)
     assert np.all(v_hat - g_vals >= -1e-12)
@@ -114,27 +109,24 @@ def test_degenerate_lambda_limit():
     # tends to the single-stopping threshold and v_inf to v_hat.
     assert sol.x_hat_inf == pytest.approx(ORACLE["x_star_1"], abs=1e-4)
     grid = np.geomspace(0.5, 10.0, 100)
-    diff = np.abs(
-        sol.v_inf.evaluate_many(grid) - sol.v_hat.evaluate_many(grid)
-    )
-    scale = np.abs(sol.v_hat.evaluate_many(grid)).max()
+    v_hat = v_hat_of(sol).evaluate_many(grid)
+    diff = np.abs(sol.v_inf.evaluate_many(grid) - v_hat)
+    scale = np.abs(v_hat).max()
     assert diff.max() <= 1e-4 * max(1.0, scale)
 
 
 def test_verification_inequality():
     sol = solve_infinite(REF_MODEL)
     grid = np.geomspace(0.5, 20.0, 300)
-    report = check_verification(sol.v_inf, REF_MODEL, grid, equality_from=sol.x_hat_inf)
-    assert report.ok
-    assert report.min_slack >= -1e-9
-    assert report.max_equality_error <= 1e-8
-    # Strict slack in the continuation region.
+    slack = verification_slack(sol.v_inf, REF_MODEL, grid)
     below = grid < sol.x_hat_inf
-    assert report.slack[below].min() > 1e-6
+    assert slack.min() >= -1e-9
+    assert np.abs(slack[~below]).max() <= 1e-8
+    # Strict slack in the continuation region.
+    assert slack[below].min() > 1e-6
 
 
 def test_verification_fails_for_zero_function():
     grid = np.array([3.0, 5.0])
-    report = check_verification(zero(), REF_MODEL, grid)
-    assert not report.ok
-    assert report.min_slack < -0.5
+    slack = verification_slack(zero(), REF_MODEL, grid)
+    assert slack.min() < -0.5

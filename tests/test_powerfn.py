@@ -15,15 +15,19 @@ from mstop.powerfn import (
     _value,
     call_payoff,
     combine,
-    constant,
-    monomial,
     power_log_integral,
-    ratio_derivative,
     resolvent_apply,
-    zero,
 )
 
-from conftest import ORACLE, REF_MODEL, random_power_sum
+from conftest import (
+    ORACLE,
+    REF_MODEL,
+    constant,
+    monomial,
+    random_power_sum,
+    ratio_derivative,
+    zero,
+)
 
 RL = REF_MODEL.r + REF_MODEL.lam
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mstop.finite import solve_single
-from mstop.powerfn import combine, constant, monomial, resolvent_apply
+from mstop.powerfn import resolvent_apply
 from mstop.resolvent_numeric import (
     _ERR_WEIGHTS,
     _NODES,
@@ -13,7 +13,7 @@ from mstop.resolvent_numeric import (
     quad_resolvent,
 )
 
-from conftest import ORACLE, REF_MODEL, random_power_sum
+from conftest import ORACLE, REF_MODEL, constant, monomial, random_power_sum
 
 RL = REF_MODEL.r + REF_MODEL.lam
 
