@@ -18,6 +18,10 @@ MAX_RIGHTS (100); a curve has at most MAX_CURVE_VALUES values.  Exit codes:
 0 ok, 2 bad input (an unwritable --output too), 3 solver failure, 4
 verification failure, 141 (128 + SIGPIPE) when the reader of stdout closed
 it early, as `| head` does.
+
+Only curve, verify and --engine quadrature load numpy (and the modules that
+need it), inside the commands: solve and table run on the pure-Python
+algebra and start without it.
 """
 
 from __future__ import annotations
@@ -32,20 +36,10 @@ import os
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from mstop.finite import solve_ladder
 from mstop.infinite import solve_infinite, x_hat_infinite
-from mstop.mc import (
-    PolicySpec,
-    policy_dominance_scan,
-    require_perturbation,
-    require_workers,
-    simulate_policy,
-)
 from mstop.model import GbmModel, require_valid
 from mstop.powerfn import call_payoff
-from mstop.resolvent_numeric import quad_resolvent
 
 # The model parameters, by flag and config key: (GbmModel field, help,
 # reference value).  The reference values are the published worked example.
@@ -204,6 +198,8 @@ def cmd_solve(args: argparse.Namespace, model: GbmModel) -> int:
     inf_sol = solve_infinite(model)
 
     if args.engine == "quadrature":
+        from mstop.resolvent_numeric import quad_resolvent
+
         values = _values_by_quadrature(model, ladder, args.x0)
         v_inf_x0 = quad_resolvent(inf_sol.sigma_density, model.r, args.x0, model)
     else:
@@ -240,6 +236,8 @@ def cmd_solve(args: argparse.Namespace, model: GbmModel) -> int:
 
 def _values_by_quadrature(model: GbmModel, ladder, x0: float) -> list[float]:
     """V^i(x0) with every resolvent evaluation done by quadrature."""
+    from mstop.resolvent_numeric import quad_resolvent
+
     g = call_payoff(model.strike)
     b = ladder.exponents.b
     values: list[float] = []
@@ -297,6 +295,14 @@ def cmd_table(args: argparse.Namespace, model: GbmModel) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, model: GbmModel) -> int:
+    from mstop.mc import (
+        PolicySpec,
+        policy_dominance_scan,
+        require_perturbation,
+        require_workers,
+        simulate_policy,
+    )
+
     if args.paths < 1000:
         raise ValueError(f"--paths must be >= 1000, got {args.paths}")
     _check_x0(args.x0)
@@ -358,6 +364,8 @@ def cmd_verify(args: argparse.Namespace, model: GbmModel) -> int:
 
 
 def cmd_curve(args: argparse.Namespace, model: GbmModel) -> int:
+    import numpy as np
+
     try:
         lo_s, hi_s, n_s = args.grid.split(":")
         lo, hi, n_pts = float(lo_s), float(hi_s), int(n_s)

@@ -20,9 +20,7 @@ import sys
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
-import numpy.typing as npt
+from operator import sub
 
 from mstop.model import Exponents, GbmModel, derive_exponents, require_valid
 from mstop.powerfn import (
@@ -245,24 +243,28 @@ def _assert_invariants(ladder: ThresholdLadder, x_hat: float) -> None:
     # monotonicity in rights, and value continuity at the boundary.  Above
     # x*_i, V^i is H^i piece for piece (checked exactly first), so the two
     # can differ only on (0, x*_i]: H^i is evaluated on the grid points
-    # there, and V^i's values stand for it above.
-    grid = np.geomspace(0.2 * x_hat, 5.0 * xs[0], 101)
-    g_vals = call_payoff(ladder.model.strike).evaluate_many(grid)
-    prev_vals: npt.NDArray[np.float64] | None = None
+    # there, and V^i's values stand for it above.  The grid has 101
+    # log-spaced points with exact ends; their logs are taken once.
+    lo, hi = 0.2 * x_hat, 5.0 * xs[0]
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    logs = [log_lo + k * (log_hi - log_lo) / 100 for k in range(100)] + [log_hi]
+    grid = [lo, *map(math.exp, logs[1:-1]), hi]
+    g_vals = _on_grid(call_payoff(ladder.model.strike), grid, logs, "g")
+    prev_vals: list[float] | None = None
     for i, (v, h, x_i) in enumerate(
         zip(ladder.values, ladder.h_funcs, xs), start=1
     ):
         j = bisect_right(h.breakpoints, x_i)
         if v.breakpoints != (x_i, *h.breakpoints[j:]) or v.polys[1:] != h.polys[j:]:
             raise ArithmeticError(f"V^{i} differs from H^{i} above its threshold")
-        v_vals = v.evaluate_many(grid)
-        below = np.searchsorted(grid, x_i, side="right")
-        h_vals = np.concatenate((h.evaluate_many(grid[:below]), v_vals[below:]))
-        if np.any(v_vals - h_vals < -1e-9):
+        v_vals = _on_grid(v, grid, logs, f"V^{i}")
+        below = bisect_right(grid, x_i)
+        h_vals = _on_grid(h, grid[:below], logs[:below], f"H^{i}") + v_vals[below:]
+        if min(map(sub, v_vals, h_vals)) < -1e-9:
             raise ArithmeticError(f"majorant property violated at i={i}: V < H")
-        if np.any(h_vals - g_vals < -1e-9):
+        if min(map(sub, h_vals, g_vals)) < -1e-9:
             raise ArithmeticError(f"majorant property violated at i={i}: H < g")
-        if prev_vals is not None and np.any(v_vals - prev_vals < -1e-9):
+        if prev_vals is not None and min(map(sub, v_vals, prev_vals)) < -1e-9:
             raise ArithmeticError(f"value monotonicity violated at i={i}")
         prev_vals = v_vals
         scale = max(1.0, abs(v(x_i)))
@@ -278,6 +280,27 @@ def _assert_invariants(ladder: ThresholdLadder, x_hat: float) -> None:
                 RuntimeWarning,
                 stacklevel=2,
             )
+
+
+def _on_grid(
+    f: PiecewisePowerSum, grid: list[float], logs: list[float], name: str
+) -> list[float]:
+    """f at the points of the increasing `grid`, whose logs are `logs`, in one
+    pass over f's pieces; a value that overflows or is not finite raises
+    ArithmeticError naming f as `name`."""
+    ends = [*(bisect_right(grid, x) for x in f.breakpoints), len(grid)]
+    vals: list[float] = []
+    start = 0
+    try:
+        for poly, end in zip(f.polys, ends):
+            terms = poly.items()
+            vals += [_value(terms, grid[k], logs[k]) for k in range(start, end)]
+            start = end
+    except OverflowError as exc:
+        raise ArithmeticError(f"{name} overflows on the check grid ({exc})") from exc
+    if not all(map(math.isfinite, vals)):
+        raise ArithmeticError(f"{name} is not finite on the check grid")
+    return vals
 
 
 def _slope(poly: Poly, x: float) -> float:

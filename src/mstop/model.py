@@ -31,10 +31,6 @@ class GbmModel:
         """Drift of log X: nu = mu - sigma^2 / 2."""
         return self.mu - 0.5 * self.sigma * self.sigma
 
-    def theta(self, p: float) -> float:
-        """Characteristic quadratic theta(p) = sigma^2 p(p-1)/2 + mu p."""
-        return 0.5 * self.sigma * self.sigma * p * (p - 1.0) + self.mu * p
-
 
 @dataclass(frozen=True)
 class Exponents:

@@ -33,12 +33,13 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
-
-import numpy as np
-import numpy.typing as npt
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from mstop.model import GbmModel, root_pair
+
+if TYPE_CHECKING:
+    import numpy as np
+    import numpy.typing as npt
 
 # Caller-supplied exponents within this absolute tolerance share one key; an
 # input exponent within it of a resolvent root makes the integral diverge.
@@ -227,6 +228,9 @@ class PiecewisePowerSum:
         indices groups the points, and each nonempty piece gathers its own
         points, evaluates them and scatters the values back.
         """
+        # The only numpy use in the exact algebra: the solver runs on floats.
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
         if flat.size and not (flat.min() > 0.0 and flat.max() < math.inf):
@@ -252,9 +256,6 @@ class PiecewisePowerSum:
         return out.reshape(x.shape)
 
     # -- structure ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not any(self.polys)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PiecewisePowerSum):

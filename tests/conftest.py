@@ -89,6 +89,15 @@ def oracle() -> dict:
 # -- test-only helpers on the algebra ------------------------------------------
 
 
+def theta(model: GbmModel, p: float) -> float:
+    """Characteristic quadratic theta(p) = sigma^2 p(p-1)/2 + mu p."""
+    return 0.5 * model.sigma * model.sigma * p * (p - 1.0) + model.mu * p
+
+
+def is_zero(f: PiecewisePowerSum) -> bool:
+    return not any(f.polys)
+
+
 def zero() -> PiecewisePowerSum:
     return PiecewisePowerSum((), ((),))
 

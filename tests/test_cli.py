@@ -292,7 +292,7 @@ def test_verify_perturb_exit_code_covers_scan(capsys, monkeypatch, fmt, dominate
             "base_dominates": dominates,
         }
 
-    monkeypatch.setattr("mstop.cli.policy_dominance_scan", scan)
+    monkeypatch.setattr("mstop.mc.policy_dominance_scan", scan)
     code, out, _ = run_cli(
         capsys, "verify", "--rights", "2", "--perturb", "0.05", "--format", fmt
     )
@@ -418,7 +418,7 @@ def test_curve_point_cap_exit_2_before_allocating(capsys, monkeypatch):
         raise AssertionError("worked before checking the point count")
 
     monkeypatch.setattr("mstop.cli.solve_ladder", no_work)
-    monkeypatch.setattr("mstop.cli.np.geomspace", no_work)
+    monkeypatch.setattr("numpy.geomspace", no_work)
     code, out, err = run_cli(
         capsys, "curve", "--rights", "2", "--grid", "0.5:10:10000000000000"
     )

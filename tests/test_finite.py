@@ -329,8 +329,37 @@ def with_piece(f, j, scale=1.0, nudge=False):
             lambda lad: with_stage(lad, 2, v=with_piece(lad.values[1], 1, nudge=True)),
             "V\\^2 differs from H\\^2 above its threshold",
         ),
+        # V^3 and H^3 above x*_1 (piece 3 of each) scaled past the largest
+        # float on the grid.
+        (
+            lambda lad: with_stage(
+                lad,
+                3,
+                v=with_piece(lad.values[2], 3, 1e308),
+                h=with_piece(lad.h_funcs[2], 3, 1e308),
+            ),
+            "V\\^3 is not finite",
+        ),
+        # A term x^1000 in V^3 and H^3, whose power overflows on the grid.
+        (
+            lambda lad: with_stage(
+                lad,
+                3,
+                v=combine(lad.values[2], monomial(1.0, 1000.0)),
+                h=combine(lad.h_funcs[2], monomial(1.0, 1000.0)),
+            ),
+            "V\\^3 overflows",
+        ),
     ],
-    ids=["v_below_h", "h_below_g", "monotonicity", "discontinuity", "structure"],
+    ids=[
+        "v_below_h",
+        "h_below_g",
+        "monotonicity",
+        "discontinuity",
+        "structure",
+        "not_finite",
+        "overflow",
+    ],
 )
 def test_invariants_reject_corrupted_ladder(ladder5, corrupt, message):
     with pytest.raises(ArithmeticError, match=message):

@@ -1,11 +1,18 @@
-"""Guards on the whole package: the robustness sweep's failure counts, and a
-package surface that holds only what the package and the benchmark use."""
+"""Guards on the whole package: the robustness sweep's failure counts, a
+package surface that holds only what the package and the benchmark use, and
+the exact solver's entry points running without numpy."""
 
 import ast
+import subprocess
+from collections import Counter
 from pathlib import Path
 
-import mstop
+import pytest
 
+import mstop
+from mstop.cli import main
+
+from conftest import REF_MODEL, run_python
 from robustness_sweep import run_sweep
 
 SRC = Path(mstop.__file__).resolve().parent
@@ -24,30 +31,98 @@ def test_robustness_sweep_counts():
         assert str(exc).startswith("float overflow in ladder stage"), exc
 
 
-def _referenced(node: ast.AST) -> set[str]:
-    """Every name and attribute that `node` mentions."""
-    return {
+def _mentions(node: ast.AST) -> list[str]:
+    """Every name and attribute that `node` mentions, once per mention."""
+    return [
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
         if isinstance(n, (ast.Name, ast.Attribute))
-    }
+    ]
 
 
 def test_package_surface_has_no_unused_names():
-    # A public top-level def or class of mstop must be used by another part
-    # of the package or by the benchmark; a name only tests call belongs in
-    # the tests.
+    # A public top-level def or class of mstop, or a public method of one of
+    # its classes, must be used outside its own body by the package or by
+    # the benchmark; a name only tests call belongs in the tests.
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
-    stmts = [(stmt, _referenced(stmt)) for tree in trees for stmt in tree.body]
+    defs = [
+        node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    defs += [
+        node
+        for cls in defs
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    ]
+    uses = Counter(name for tree in trees for name in _mentions(tree))
     bench = set().union(
-        *(_referenced(ast.parse(path.read_text())) for path in BENCH.glob("*.py"))
+        *(_mentions(ast.parse(path.read_text())) for path in BENCH.glob("*.py"))
     )
     unused = [
         node.name
-        for node, _ in stmts
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        for node in defs
+        if not node.name.startswith("_")
         and node.name not in bench
-        and not any(node.name in names for stmt, names in stmts if stmt is not node)
+        and uses[node.name] == _mentions(node).count(node.name)
     ]
     assert unused == []
+
+
+# Makes numpy unimportable: any `import numpy` after it raises ImportError.
+BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--rights", "5", "--x0", "2.5"],
+        ["solve", "--rights", "5", "--x0", "2.5", "--format", "text"],
+        ["table"],
+        ["table", "--format", "text"],
+    ],
+    ids=["solve_json", "solve_text", "table_json", "table_text"],
+)
+def test_solve_and_table_run_without_numpy(capsys, argv):
+    # The same bytes as a run in this process, which has numpy loaded.
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    proc = run_python(
+        BLOCK_NUMPY + "from mstop.cli import main; sys.exit(main())",
+        *argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out == expected
+
+
+def test_package_solves_without_numpy():
+    proc = run_python(
+        BLOCK_NUMPY + "import mstop; "
+        f"print(repr(mstop.solve_ladder(mstop.{REF_MODEL!r}, 60).thresholds[-1]))",
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert float(out) == mstop.solve_ladder(REF_MODEL, 60).thresholds[-1]
+
+
+def test_monte_carlo_names_load_on_first_use():
+    from mstop import mc
+
+    assert mstop.simulate_policy is mc.simulate_policy
+    assert mstop.PolicySpec is mc.PolicySpec
+    assert mstop.McEstimate is mc.McEstimate
+    namespace: dict = {}
+    exec("from mstop import *", namespace)
+    assert set(mstop.__all__) <= namespace.keys()
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mstop.no_such_name

@@ -5,7 +5,7 @@ import pytest
 
 from mstop.model import GbmModel, derive_exponents, require_valid, root_pair, validate
 
-from conftest import ORACLE, REF_MODEL
+from conftest import ORACLE, REF_MODEL, theta
 from robustness_sweep import DRAWS, draw_models
 
 
@@ -78,7 +78,7 @@ def test_characteristic_quadratic_roots():
     exps = derive_exponents(REF_MODEL)
     r, rl = REF_MODEL.r, REF_MODEL.r + REF_MODEL.lam
     for p, q in ((exps.b, r), (exps.a, r), (exps.beta, rl), (exps.alpha, rl)):
-        assert REF_MODEL.theta(p) == pytest.approx(q, rel=1e-10)
+        assert theta(REF_MODEL, p) == pytest.approx(q, rel=1e-10)
 
 
 def test_wronskian_is_twice_sq():
