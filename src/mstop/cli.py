@@ -59,7 +59,9 @@ PAPER_TABLE1 = (3.317653, 3.079880, 2.971528, 2.738782, 2.643230)
 PAPER_TABLE1_ERRATUM = (3, 4, 5)
 
 # Largest --rights the commands accept.  The ladder's cost grows about as
-# n^2.1; by n = 100 the reference thresholds have converged to x_hat_inf.
+# n^2.2.  On the reference model x*_80 ... x*_100 are not roots but the
+# clamp x_hat_inf + BRACKET_EPS of finite.solve_threshold: the gap to
+# x_hat_inf falls below 1e-12 there.
 MAX_RIGHTS = 100
 
 # Largest CSV `curve` writes, in values: points times the rights + 3 columns.

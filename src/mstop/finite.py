@@ -24,12 +24,12 @@ from operator import sub
 
 from mstop.model import Exponents, GbmModel, derive_exponents, require_valid
 from mstop.powerfn import (
+    DivergenceError,
     PiecewisePowerSum,
     Poly,
     _value,
     call_payoff,
     combine,
-    power_log_integral,
     ratio_coefs,
     resolvent_apply,
 )
@@ -94,18 +94,55 @@ def delta(model: GbmModel, h_prev: PiecewisePowerSum, x_star_prev: float) -> flo
     """
     exps = derive_exponents(model)
     b, beta, kappa = exps.b, exps.beta, exps.kappa
+    # The pieces above x*_prev, from x*_prev to the next breakpoint, ...,
+    # from the last breakpoint to infinity; one log per breakpoint.  The
+    # unbounded piece's upper end is a placeholder (y = 1, ln y = 0).
     bps = h_prev.breakpoints
+    j = bisect_right(bps, x_star_prev)
+    xs = (x_star_prev, *bps[j:])
+    lxs = tuple(map(math.log, xs))
     total = 0.0
-    for poly, lo, hi in zip(h_prev.polys, (0.0, *bps), (*bps, math.inf)):
-        if hi <= x_star_prev:
-            continue
-        lo = max(lo, x_star_prev)
+    for i, poly in enumerate(h_prev.polys[j:]):
+        lo, l_lo = xs[i], lxs[i]
+        bounded = i + 1 < len(xs)
+        hi, l_hi = (xs[i + 1], lxs[i + 1]) if bounded else (1.0, 0.0)
         for q, cs in poly.items():
             # y^-kappa d/dy [y^(q-b) C(ln y)] = y^(s-1) [(q-b) C + C'](ln y)
             # with s = q - b - kappa = q - beta, which is exactly 0 for the
             # resonant key beta (kappa comes from an identity, not beta - b).
-            s = 0.0 if q == beta else (q - b) - kappa
-            total += power_log_integral(s, ratio_coefs(q - b, cs), lo, hi)
+            # One backward pass forms the ratio coefficients
+            # r_k = (q-b) c_k + (k+1) c_(k+1), the antiderivative y^s D(ln y)
+            # with s d_k + (k+1) d_(k+1) = r_k (for s == 0, d_(k+1) =
+            # r_k / (k+1) and d_0 = 0) and D's Horner values at both ends.
+            e = q - b
+            s = 0.0 if q == beta else e - kappa
+            c_next = carry = d_lo = d_hi = 0.0
+            for k in range(len(cs) - 1, -1, -1):
+                c = cs[k]
+                r = e * c + (k + 1) * c_next
+                c_next = c
+                if s == 0.0:
+                    d = r / (k + 1)
+                else:
+                    d = (r - carry) / s
+                    carry = k * d
+                d_lo = d_lo * l_lo + d
+                d_hi = d_hi * l_hi + d
+            if s == 0.0:
+                d_lo = d_lo * l_lo + 0.0
+                d_hi = d_hi * l_hi + 0.0
+            if bounded:
+                total += d_hi * hi**s - d_lo * lo**s
+            # The tail diverges for s >= 0 unless D is 0: every d_k is 0
+            # exactly when every r_k / s (r_k / (k+1) for s == 0) rounds to 0.
+            elif s >= 0.0 and any(
+                r / (s or k + 1) for k, r in enumerate(ratio_coefs(e, cs))
+            ):
+                raise DivergenceError(
+                    f"integral to infinity diverges; antiderivative exponent {s}"
+                )
+            else:
+                total -= d_lo * lo**s
     value = total * exps.kappa * exps.gamma / (exps.kappa + exps.gamma)
     if value >= 0.0 and abs(value) > 0.0:
         raise ArithmeticError(f"Delta must be negative, got {value}")
@@ -212,7 +249,9 @@ def solve_ladder(model: GbmModel, n: int) -> ThresholdLadder:
 
 
 def _truncate_below(f: PiecewisePowerSum, cut: float) -> PiecewisePowerSum:
-    """f on (cut, inf), zero on (0, cut]; cut becomes the first breakpoint."""
+    """f on (cut, inf), zero on (0, cut]; cut becomes the first breakpoint.
+    The benchmark's stage-by-stage rebuild of the ladder assembles V^i
+    from it."""
     j = bisect_right(f.breakpoints, cut)
     return PiecewisePowerSum.from_polys((cut, *f.breakpoints[j:]), ({}, *f.polys[j:]))
 
@@ -220,9 +259,9 @@ def _truncate_below(f: PiecewisePowerSum, cut: float) -> PiecewisePowerSum:
 def threshold_form(f: PiecewisePowerSum, cut: float, e: float) -> PiecewisePowerSum:
     """c x^e on (0, cut] and f above, with c = f(cut) / cut^e so that the
     result is continuous at cut."""
-    above = _truncate_below(f, cut)
+    j = bisect_right(f.breakpoints, cut)
     return PiecewisePowerSum.from_polys(
-        above.breakpoints, ({e: [f(cut) / cut**e]}, *above.polys[1:])
+        (cut, *f.breakpoints[j:]), ({e: [f(cut) / cut**e]}, *f.polys[j:])
     )
 
 

@@ -29,6 +29,7 @@ each (base totals and one paired difference per variant).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,15 @@ class PolicySpec:
             math.isfinite(t) and t > 0.0 for t in self.thresholds
         ):
             raise ValueError(f"thresholds must be positive and finite: {self.thresholds}")
+        # A first passage from x0 runs on ln(threshold / x0), which the
+        # quotient's overflow would turn into NaN totals.
+        top = max(self.thresholds)
+        if math.isinf(top / self.x0):
+            raise ValueError(
+                f"x0 must be at least about {top / sys.float_info.max:.6g} (the "
+                f"largest threshold {top} over the largest float) for "
+                f"ln(threshold / x0) to be finite, got {self.x0}"
+            )
 
     @property
     def n_rights(self) -> int:
@@ -330,7 +340,8 @@ def policy_dominance_scan(
         for sign, direction in ((+1.0, "+"), (-1.0, "-")):
             shifted = list(thresholds)
             shifted[i - 1] = shifted[i - 1] * (1.0 + sign * perturbation)
-            variants.append((i, direction, tuple(shifted)))
+            # A variant may start from x0 too: PolicySpec checks it.
+            variants.append((i, direction, PolicySpec(tuple(shifted), x0).thresholds))
     # Row 0 holds the base totals, row 1 + j the differences for variant j.
     columns = _columns(model, base_policy, variants, n_paths, seed, workers)
     rows: list[dict] = []

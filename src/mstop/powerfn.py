@@ -19,12 +19,14 @@ terms from the third exercise right onward.  Terms supplied by callers as
 PowerTerms are canonicalized once, on construction.
 
 One kernel, _value, evaluates every sum of x^p C(ln x) terms, for a float
-or an array x: pieces, closed-form integrals and the resolvent's
-antiderivatives alike.  Array evaluation groups the points by piece and
-touches only the pieces that hold points, with one kernel call each.  The
-resolvent's homogeneous coefficients are running sums of their jumps across
-the breakpoints, so each piece's antiderivatives are evaluated only at that
-piece's own two ends.
+or an array x.  Array evaluation groups the points by piece and touches only
+the pieces that hold points, with one kernel call each.  The resolvent takes
+each term in one backward pass over its log coefficients: both
+antiderivative recurrences and Horner's rule run from the top log power
+down, so one loop yields the two antiderivatives, the particular part and
+the antiderivatives' values at the piece's two ends.  The homogeneous
+coefficients are running sums of the jumps of those end values across the
+breakpoints.
 """
 
 from __future__ import annotations
@@ -133,39 +135,6 @@ def _value(terms: Iterable[tuple[float, Sequence[float]]], x, lx):
 def ratio_coefs(e: float, cs: Sequence[float]) -> list[float]:
     """Coefficients of y^(1-e) d/dy [y^e C(ln y)] = e C + C' in ln y."""
     return [e * c + (k + 1) * n for k, (c, n) in enumerate(zip(cs, [*cs[1:], 0.0]))]
-
-
-def _antiderivative(s: float, cs: Sequence[float]) -> list[float]:
-    """Coefficients d of D with d/dy [y^s D(ln y)] = y^(s-1) C(ln y).
-
-    For s != 0 this is the backward recurrence s d_k + (k+1) d_(k+1) = c_k;
-    for s == 0 it is D = integral of C with D(0) = 0 (one more log power).
-    """
-    if s == 0.0:
-        return [0.0] + [c / (k + 1) for k, c in enumerate(cs)]
-    d = [0.0] * len(cs)
-    carry = 0.0  # (k+1) d_(k+1)
-    for k in range(len(cs) - 1, -1, -1):
-        d[k] = (cs[k] - carry) / s
-        carry = k * d[k]
-    return d
-
-
-def power_log_integral(s: float, cs: Sequence[float], lo: float, hi: float) -> float:
-    """Integral of y^(s-1) * sum_k cs[k] ln^k y over (lo, hi] in closed form.
-
-    hi may be math.inf when s < 0, where the antiderivative vanishes.
-    """
-    d = _antiderivative(s, cs)
-    if math.isinf(hi):
-        if s >= 0.0 and any(d):
-            raise DivergenceError(
-                f"integral to infinity diverges; antiderivative exponent {s}"
-            )
-        upper = 0.0
-    else:
-        upper = _value([(s, d)], hi, math.log(hi))
-    return upper - _value([(s, d)], lo, math.log(lo))
 
 
 # -- piecewise sums --------------------------------------------------------------
@@ -314,6 +283,65 @@ def combine(
     return PiecewisePowerSum.from_polys(bps, polys)
 
 
+def _resolvent_term(
+    u: float, cs: Sequence[float], s1: float, s2: float, l_lo: float, l_hi: float
+) -> tuple[list[float], float, float, float, float]:
+    """One term u y^p C(ln y) of the resolvent, in one backward pass over C.
+
+    The integrands y^(s-1) u C(ln y), for s = s1 and s = s2, have the
+    antiderivatives y^s D(ln y) with s d_k + (k+1) d_(k+1) = u c_k, or, for
+    s == 0, D = integral of u C with D(0) = 0 and one more log power.  Both
+    recurrences and Horner's rule run from the top log power down, so one
+    loop yields the particular part D1 - D2 and the Horner values of D1 and
+    D2 at ln y = l_lo and l_hi.  Returns (D1 - D2, D1(l_lo), D1(l_hi),
+    D2(l_lo), D2(l_hi)); the powers y^s are the caller's.
+    """
+    n = len(cs)
+    if s1 and s2:
+        out = [0.0] * n
+        e1 = e2 = 0.0  # (k+1) d_(k+1) of each recurrence
+        a1_lo = a1_hi = a2_lo = a2_hi = 0.0
+        for k in range(n - 1, -1, -1):
+            c = u * cs[k]
+            d1 = (c - e1) / s1
+            d2 = (c - e2) / s2
+            e1 = k * d1
+            e2 = k * d2
+            out[k] = d1 - d2
+            a1_lo = a1_lo * l_lo + d1
+            a1_hi = a1_hi * l_hi + d1
+            a2_lo = a2_lo * l_lo + d2
+            a2_hi = a2_hi * l_hi + d2
+        return out, a1_lo, a1_hi, a2_lo, a2_hi
+    # Resonant: D_r = integral of u C has d_(k+1) = u c_k / (k+1) and d_0 = 0;
+    # the other antiderivative D_n, of exponent s, has no term of log power n.
+    # Step k yields D_r's coefficient of log power k + 1 and D_n's of k, so
+    # the part's coefficient k + 1 pairs D_r's with D_n's from step k + 1.
+    d1_resonant = not s1
+    s = s2 if d1_resonant else s1
+    out = [0.0] * (n + 1)
+    e = prev = 0.0
+    ar_lo = ar_hi = an_lo = an_hi = 0.0
+    for k in range(n - 1, -1, -1):
+        c = u * cs[k]
+        dr = c / (k + 1)
+        dn = (c - e) / s
+        e = k * dn
+        out[k + 1] = dr - prev if d1_resonant else prev - dr
+        prev = dn
+        ar_lo = ar_lo * l_lo + dr
+        ar_hi = ar_hi * l_hi + dr
+        an_lo = an_lo * l_lo + dn
+        an_hi = an_hi * l_hi + dn
+    ar_lo = ar_lo * l_lo + 0.0
+    ar_hi = ar_hi * l_hi + 0.0
+    if d1_resonant:
+        out[0] = 0.0 - prev
+        return out, ar_lo, ar_hi, an_lo, an_hi
+    out[0] = prev
+    return out, an_lo, an_hi, ar_lo, ar_hi
+
+
 def resolvent_apply(
     f: PiecewisePowerSum, q: float, model: GbmModel
 ) -> PiecewisePowerSum:
@@ -350,24 +378,29 @@ def resolvent_apply(
             )
 
     # Per piece k: the particular part, and the antiderivatives F1_k of
-    # u psi_q f m' and F2_k of u phi_q f m' as (s, D) pairs.
+    # u psi_q f m' and F2_k of u phi_q f m' at the piece's two ends.  The
+    # first piece's left end and the last piece's right end are placeholders
+    # (x = 1, ln x = 0) whose values go unused.
+    bps = f.breakpoints
+    xs = (1.0, *bps, 1.0)
+    lxs = (0.0, *map(math.log, bps), 0.0)
     parts: list[Poly] = []
-    anti_psi: list[list[tuple[float, list[float]]]] = []
-    anti_phi: list[list[tuple[float, list[float]]]] = []
-    for poly in polys:
+    ends: list[tuple[float, float, float, float]] = []  # F1 lo, hi, F2 lo, hi
+    for k, poly in enumerate(polys):
+        x_lo, x_hi, l_lo, l_hi = xs[k], xs[k + 1], lxs[k], lxs[k + 1]
         part: Poly = {}
-        a1, a2 = [], []
+        f1_lo = f1_hi = f2_lo = f2_hi = 0.0
         for p, cs in poly.items():
-            cu = [u * c for c in cs]
-            d1 = _antiderivative(p - mq, cu)
-            d2 = _antiderivative(p - pq, cu)
-            a1.append((p - mq, d1))
-            a2.append((p - pq, d2))
-            part[p] = list(d1)
-            _axpy(part, {p: d2}, -1.0)
+            s1, s2 = p - mq, p - pq
+            part[p], a1_lo, a1_hi, a2_lo, a2_hi = _resolvent_term(
+                u, cs, s1, s2, l_lo, l_hi
+            )
+            f1_lo += a1_lo * x_lo**s1
+            f1_hi += a1_hi * x_hi**s1
+            f2_lo += a2_lo * x_lo**s2
+            f2_hi += a2_hi * x_hi**s2
         parts.append(part)
-        anti_psi.append(a1)
-        anti_phi.append(a2)
+        ends.append((f1_lo, f1_hi, f2_lo, f2_hi))
 
     # Homogeneous coefficients.  On piece k = (b_(k-1), b_k]:
     #   phi coefficient = int_0^b_(k-1) u psi f m' - F1_k(b_(k-1)),
@@ -377,11 +410,8 @@ def resolvent_apply(
     # running sums of the jumps at the breakpoints:
     #   c_phi[k+1] = c_phi[k] + F1_k(b_k) - F1_(k+1)(b_k)   forward,
     #   c_psi[k] = c_psi[k+1] + F2_k(b_k) - F2_(k+1)(b_k)   backward.
-    jump_phi, jump_psi = [], []
-    for k, x in enumerate(f.breakpoints):
-        lx = math.log(x)
-        jump_phi.append(_value(anti_psi[k], x, lx) - _value(anti_psi[k + 1], x, lx))
-        jump_psi.append(_value(anti_phi[k], x, lx) - _value(anti_phi[k + 1], x, lx))
+    jump_phi = [e[1] - e_next[0] for e, e_next in zip(ends, ends[1:])]
+    jump_psi = [e[3] - e_next[2] for e, e_next in zip(ends, ends[1:])]
     c_phi = accumulate(jump_phi, initial=0.0)
     c_psi = reversed([*accumulate(reversed(jump_psi), initial=0.0)])
     for part, a, b in zip(parts, c_phi, c_psi):

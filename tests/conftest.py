@@ -9,8 +9,10 @@ regression anchors.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
+from typing import Sequence
 import sys
 from pathlib import Path
 
@@ -23,10 +25,12 @@ from mstop.finite import continuation_value, perpetual_call_threshold, threshold
 from mstop.infinite import InfiniteSolution
 from mstop.model import GbmModel, derive_exponents
 from mstop.powerfn import (
+    DivergenceError,
     PiecewisePowerSum,
     Poly,
     PowerTerm,
     _axpy,
+    _value,
     call_payoff,
     ratio_coefs,
     resolvent_apply,
@@ -124,6 +128,41 @@ def ratio_derivative(f: PiecewisePowerSum, p: float) -> PiecewisePowerSum:
             _axpy(m, {q - p - 1.0: ratio_coefs(q - p, cs)}, 1.0)
         polys.append(m)
     return PiecewisePowerSum.from_polys(f.breakpoints, polys)
+
+
+def antiderivative(s: float, cs: Sequence[float]) -> list[float]:
+    """Coefficients d of D with d/dy [y^s D(ln y)] = y^(s-1) C(ln y).
+
+    For s != 0 this is the backward recurrence s d_k + (k+1) d_(k+1) = c_k;
+    for s == 0 it is D = integral of C with D(0) = 0 (one more log power).
+    The two-pass reference for the fused kernels of resolvent_apply and
+    finite.delta, which must match it bit for bit.
+    """
+    if s == 0.0:
+        return [0.0] + [c / (k + 1) for k, c in enumerate(cs)]
+    d = [0.0] * len(cs)
+    carry = 0.0  # (k+1) d_(k+1)
+    for k in range(len(cs) - 1, -1, -1):
+        d[k] = (cs[k] - carry) / s
+        carry = k * d[k]
+    return d
+
+
+def power_log_integral(s: float, cs: Sequence[float], lo: float, hi: float) -> float:
+    """Integral of y^(s-1) * sum_k cs[k] ln^k y over (lo, hi] in closed form.
+
+    hi may be math.inf when s < 0, where the antiderivative vanishes.
+    """
+    d = antiderivative(s, cs)
+    if math.isinf(hi):
+        if s >= 0.0 and any(d):
+            raise DivergenceError(
+                f"integral to infinity diverges; antiderivative exponent {s}"
+            )
+        upper = 0.0
+    else:
+        upper = _value([(s, d)], hi, math.log(hi))
+    return upper - _value([(s, d)], lo, math.log(lo))
 
 
 def check_ratio_monotonicity(

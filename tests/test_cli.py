@@ -224,6 +224,23 @@ def test_non_finite_x0_exit_2(capsys, argv):
     assert "--x0" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--x0", "5e-324"),
+        ("--x0", "1e-308"),
+        # The base policy's thresholds fit, the +20% variant of x*_1 does not.
+        ("--x0", "2e-308", "--rights", "1", "--perturb", "0.2"),
+    ],
+)
+def test_verify_x0_below_overflow_bound_exit_2(capsys, argv):
+    # The log distance ln(threshold / x0) overflowed to inf, and verify
+    # printed bare NaN totals in its JSON.
+    code, out, err = run_cli(capsys, "verify", "--paths", "1000", *argv)
+    assert code == 2 and out == ""
+    assert "x0 must be at least about" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("rights", ["0", str(MAX_RIGHTS + 1)])
 @pytest.mark.parametrize(
     "argv", [("solve",), ("verify",), ("curve", "--grid", "1:2:2")]

@@ -1,8 +1,10 @@
 """Guards on the whole package: the robustness sweep's failure counts, a
-package surface that holds only what the package and the benchmark use, and
-the exact solver's entry points running without numpy."""
+package surface that holds only what the package and the benchmark use,
+every package name the benchmark imports, and the exact solver's entry
+points running without numpy."""
 
 import ast
+import importlib
 import subprocess
 from collections import Counter
 from pathlib import Path
@@ -70,6 +72,27 @@ def test_package_surface_has_no_unused_names():
         and uses[node.name] == _mentions(node).count(node.name)
     ]
     assert unused == []
+
+
+def test_benchmark_imports_exist():
+    # bench/ changes only with the benchmark itself, so a refactor that drops
+    # or renames a name it imports from mstop (private ones included) would
+    # break its runs unseen.
+    imports = [
+        (node.module, alias.name)
+        for path in sorted(BENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "mstop"
+        for alias in node.names
+    ]
+    assert ("mstop.finite", "_truncate_below") in imports
+    missing = [
+        f"{module}.{name}"
+        for module, name in imports
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
 
 
 # Makes numpy unimportable: any `import numpy` after it raises ImportError.

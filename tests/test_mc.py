@@ -143,6 +143,11 @@ def test_policy_validation():
         PolicySpec(thresholds=(3.0, -1.0), x0=2.0)
     with pytest.raises(ValueError):
         PolicySpec(thresholds=(3.0,), x0=0.0)
+    # ln(threshold / x0) must be finite: 3.0 / 1e-308 overflows, and the
+    # largest threshold sets the bound.
+    with pytest.raises(ValueError, match=r"at least about 1\.66\d*e-308"):
+        PolicySpec(thresholds=(2.0, 3.0), x0=1e-308)
+    assert PolicySpec(thresholds=(2.0, 3.0), x0=1.7e-308).x0 == 1.7e-308
     with pytest.raises(ValueError):
         McEstimate(mean=1.0, std_err=-0.1, n_paths=10, seed=0)
 

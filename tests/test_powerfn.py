@@ -5,31 +5,37 @@ import numpy as np
 import pytest
 
 from mstop import powerfn
-from mstop.finite import solve_ladder
-from mstop.model import GbmModel, derive_exponents, root_pair
+from mstop.finite import delta, solve_ladder
+from mstop.model import GbmModel, derive_exponents, root_pair, validate
 from mstop.powerfn import (
+    EXPONENT_MERGE_TOL,
     DivergenceError,
     PiecewisePowerSum,
     Poly,
     PowerTerm,
+    _add_coef,
+    _axpy,
     _value,
     call_payoff,
     combine,
-    power_log_integral,
+    ratio_coefs,
     resolvent_apply,
 )
 
 from conftest import (
     ORACLE,
     REF_MODEL,
+    antiderivative,
     constant,
     is_zero,
     monomial,
+    power_log_integral,
     random_power_sum,
     ratio_derivative,
     theta,
     zero,
 )
+from robustness_sweep import draw_models
 
 RL = REF_MODEL.r + REF_MODEL.lam
 
@@ -421,6 +427,183 @@ def test_resolvent_output_breakpoints_match_input():
     f = random_power_sum(rng, max_breakpoints=3)
     rf = resolvent_apply(f, RL, REF_MODEL)
     assert rf.breakpoints == f.breakpoints
+
+
+# -- fused kernels against the two-pass reference ---------------------------------
+
+
+def reference_resolvent(
+    f: PiecewisePowerSum, q: float, model: GbmModel
+) -> PiecewisePowerSum:
+    """resolvent_apply in two passes per term: each antiderivative built as a
+    list by conftest's antiderivative, the particular part by _axpy, and the
+    antiderivatives evaluated at the breakpoints by _value afterwards."""
+    pq, mq = root_pair(model, q)
+    u = 2.0 / (model.sigma * model.sigma * (pq - mq))
+    polys = f.polys
+    for p in polys[0]:
+        if p - mq <= EXPONENT_MERGE_TOL:
+            raise DivergenceError(
+                f"lower integral diverges: leftmost exponent {p} <= {mq}"
+            )
+    for p in polys[-1]:
+        if pq - p <= EXPONENT_MERGE_TOL:
+            raise DivergenceError(
+                f"upper integral diverges: rightmost exponent {p} >= {pq}"
+            )
+    parts: list[Poly] = []
+    anti_psi, anti_phi = [], []
+    for poly in polys:
+        part: Poly = {}
+        a1, a2 = [], []
+        for p, cs in poly.items():
+            cu = [u * c for c in cs]
+            d1 = antiderivative(p - mq, cu)
+            d2 = antiderivative(p - pq, cu)
+            a1.append((p - mq, d1))
+            a2.append((p - pq, d2))
+            part[p] = list(d1)
+            _axpy(part, {p: d2}, -1.0)
+        parts.append(part)
+        anti_psi.append(a1)
+        anti_phi.append(a2)
+    jump_phi, jump_psi = [], []
+    for k, x in enumerate(f.breakpoints):
+        lx = math.log(x)
+        jump_phi.append(_value(anti_psi[k], x, lx) - _value(anti_psi[k + 1], x, lx))
+        jump_psi.append(_value(anti_phi[k], x, lx) - _value(anti_phi[k + 1], x, lx))
+    c_phi = [0.0]
+    for jump in jump_phi:
+        c_phi.append(c_phi[-1] + jump)
+    c_psi = [0.0]
+    for jump in reversed(jump_psi):
+        c_psi.append(c_psi[-1] + jump)
+    for part, a, b in zip(parts, c_phi, reversed(c_psi)):
+        _add_coef(part, mq, 0, a)
+        _add_coef(part, pq, 0, b)
+    return PiecewisePowerSum.from_polys(f.breakpoints, parts)
+
+
+def reference_delta(
+    model: GbmModel, h_prev: PiecewisePowerSum, x_star_prev: float
+) -> float:
+    """finite.delta with conftest's power_log_integral on ratio_coefs: three
+    lists and two logs for every key of every piece above x_star_prev."""
+    exps = derive_exponents(model)
+    b, beta, kappa = exps.b, exps.beta, exps.kappa
+    bps = h_prev.breakpoints
+    total = 0.0
+    for poly, lo, hi in zip(h_prev.polys, (0.0, *bps), (*bps, math.inf)):
+        if hi <= x_star_prev:
+            continue
+        lo = max(lo, x_star_prev)
+        for q, cs in poly.items():
+            s = 0.0 if q == beta else (q - b) - kappa
+            total += power_log_integral(s, ratio_coefs(q - b, cs), lo, hi)
+    value = total * exps.kappa * exps.gamma / (exps.kappa + exps.gamma)
+    if value >= 0.0 and abs(value) > 0.0:
+        raise ArithmeticError(f"Delta must be negative, got {value}")
+    return value
+
+
+def outcome(fn, *args) -> str:
+    """Every float of fn's result, keys in dict order, or the error it
+    raised.  repr round-trips floats, so equal strings mean equal bits,
+    signed zeros included; key order counts because _value sums in it."""
+    try:
+        out = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(out, PiecewisePowerSum):
+        return repr((out.breakpoints, [list(poly.items()) for poly in out.polys]))
+    return repr(out)
+
+
+def resonant_power_sum(rng: np.random.Generator, q: float) -> PiecewisePowerSum:
+    """Random sum whose exponents include 0, 1 and both roots of theta(p) = q,
+    with log powers up to 5.  One draw in ten may put m_q on the first piece
+    or p_q on the last, where an integral diverges; the reference raises
+    there too."""
+    pq, mq = root_pair(REF_MODEL, q)
+    n_bp = int(rng.integers(0, 5))
+    bps = np.sort(rng.uniform(0.3, 6.0, n_bp))
+    divergent = rng.uniform() < 0.1
+    pieces = []
+    for j in range(n_bp + 1):
+        exps = [0.0, 1.0, float(rng.uniform(-2.0, 2.2))]
+        exps += [mq] if j > 0 or divergent else []
+        exps += [pq] if j < n_bp or divergent else []
+        pieces.append(
+            tuple(
+                PowerTerm(
+                    float(rng.uniform(-2.0, 2.0)),
+                    exps[int(rng.integers(0, len(exps)))],
+                    int(rng.integers(0, 6)),
+                )
+                for _ in range(int(rng.integers(1, 6)))
+            )
+        )
+    return PiecewisePowerSum(tuple(float(x) for x in bps), tuple(pieces))
+
+
+def test_fused_resolvent_matches_two_pass_on_ladder():
+    # V^1..V^20 at q = r + lam carry both resonant keys, alpha and beta, with
+    # log powers growing by one per stage.
+    ladder = solve_ladder(REF_MODEL, 20)
+    exps = derive_exponents(REF_MODEL)
+    keys = {p for v in ladder.values for poly in v.polys for p in poly}
+    assert {exps.alpha, exps.beta} <= keys
+    assert (exps.beta, exps.alpha) == root_pair(REF_MODEL, RL)
+    for v in ladder.values:
+        want = outcome(reference_resolvent, v, RL, REF_MODEL)
+        assert outcome(resolvent_apply, v, RL, REF_MODEL) == want
+
+
+@pytest.mark.parametrize("q", [REF_MODEL.r, RL, 0.3])
+def test_fused_resolvent_matches_two_pass_on_random_sums(q):
+    rng = np.random.default_rng(59)
+    outcomes = []
+    for k in range(200):
+        f = random_power_sum(rng) if k % 2 else resonant_power_sum(rng, q)
+        want = outcome(reference_resolvent, f, q, REF_MODEL)
+        assert outcome(resolvent_apply, f, q, REF_MODEL) == want
+        outcomes.append(want)
+    # Both kinds of input occur: solved ones and divergent ones.
+    assert any(o.startswith("DivergenceError") for o in outcomes)
+    assert sum(not o.startswith("DivergenceError") for o in outcomes) >= 150
+
+
+def test_fused_delta_matches_two_pass():
+    # H^1..H^20 of the reference ladder, and the ladders of the first five
+    # sweep models that solve to six rights.
+    ladders = [solve_ladder(REF_MODEL, 21)]
+    for m in draw_models(np.random.default_rng(0), 100):
+        if len(ladders) == 6:
+            break
+        if not validate(m, require_positive_net_drift=True):
+            try:
+                ladders.append(solve_ladder(m, 6))
+            except ArithmeticError:
+                pass
+    assert len(ladders) == 6
+    for ladder in ladders:
+        m = ladder.model
+        for h, x in zip(ladder.h_funcs, ladder.thresholds):
+            # Lower limits at x*_i itself and at each breakpoint of H^i, where
+            # the integral starts exactly on a piece boundary.
+            for lo in (x, *h.breakpoints):
+                assert outcome(delta, m, h, lo) == outcome(reference_delta, m, h, lo)
+
+
+def test_fused_delta_divergence_matches_two_pass():
+    # An unbounded last piece with an exponent at or above beta diverges; one
+    # below it converges, however large its log power.
+    beta = derive_exponents(REF_MODEL).beta
+    for p, k in ((beta, 0), (beta, 3), (beta + 1.0, 1), (beta - 0.5, 4)):
+        h = PiecewisePowerSum((2.0,), ((), (PowerTerm(-1.0, 1.0), PowerTerm(1.0, p, k))))
+        want = outcome(reference_delta, REF_MODEL, h, 3.0)
+        assert outcome(delta, REF_MODEL, h, 3.0) == want
+        assert want.startswith("DivergenceError") == (p >= beta)
 
 
 # -- serialization --------------------------------------------------------------
