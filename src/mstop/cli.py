@@ -6,16 +6,18 @@ Commands:
   verify  Monte Carlo check of the analytic value (optionally a dominance scan)
   curve   export value-function curves as CSV
 
-Model parameters come from flags, falling back to an INI config file
-(--config, before the subcommand or after solve/verify/curve, or the
-MSTOP_CONFIG environment variable; flat key=value entries named after the
-long flags), falling back to the reference configuration.  An empty
---config path, a section header, an unknown key, a value that is not a
-number, a malformed file or a non-finite parameter is bad input; an empty
-MSTOP_CONFIG is unset.  table runs on the reference configuration and reads
-no config, neither --config nor MSTOP_CONFIG.  --rights is between 1 and
-MAX_RIGHTS (100); a curve has at most MAX_CURVE_VALUES values.  Exit codes:
-0 ok, 2 bad input (an unwritable --output too), 3 solver failure, 4
+Model parameters come from flags, falling back to a config file (--config,
+before the subcommand or after solve/verify/curve, or the MSTOP_CONFIG
+environment variable), falling back to the reference configuration.  The
+file holds `key = value` lines, split at the first '=' and stripped, whose
+keys are the long flag names as written; blank lines and lines that start
+with '#' or ';' are comments, and nothing is interpolated.  A header line
+('[...'), a line without '=', an unknown or repeated key, a value float()
+rejects, an empty --config path or a non-finite parameter is bad input; an
+empty MSTOP_CONFIG is unset.  table runs on the reference configuration and
+reads no config, neither --config nor MSTOP_CONFIG.  --rights is between 1
+and MAX_RIGHTS (100); a curve has at most MAX_CURVE_VALUES values.  Exit
+codes: 0 ok, 2 bad input (an unwritable --output too), 3 solver failure, 4
 verification failure, 141 (128 + SIGPIPE) when the reader of stdout closed
 it early, as `| head` does.
 
@@ -27,7 +29,6 @@ algebra and start without it.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import functools
 import json
@@ -104,7 +105,7 @@ def _error(message: str, code: int) -> int:
 
 
 def _load_config(path: str | None) -> dict[str, float]:
-    """The parameters an INI config file sets, by flag name."""
+    """The parameters a config file sets, by flag name (grammar above)."""
     if path == "":
         raise ValueError("--config is empty: give a config file path")
     if path is None:
@@ -114,42 +115,33 @@ def _load_config(path: str | None) -> dict[str, float]:
             return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}") from exc
-    # The file is flat: it gets its one [mstop] header here.  No header can
-    # name the empty section, so [DEFAULT] is an ordinary section below and
-    # is rejected like any other header.
-    parser = configparser.ConfigParser(default_section="")
-    repeated = []
-    try:
-        parser.read_string("[mstop]\n" + text, source=path)
-    except configparser.DuplicateSectionError as exc:
-        repeated = [exc.section]
-    except configparser.Error as exc:
-        raise ValueError(
-            f"bad config file: {exc} (line numbers count an added [mstop] header line)"
-        ) from exc
-    # The sections read before a repeated one come first in the file.
-    headers = parser.sections()[1:] + repeated
-    if headers:
-        raise ValueError(
-            f"config file {path} has a section header ([{headers[0]}]): a config "
-            "file holds flat key = value lines, so drop its headers"
-        )
-    section = parser["mstop"]
-    unknown = sorted(set(section) - set(MODEL_PARAMS))
-    if unknown:
-        raise ValueError(
-            f"unknown config key(s) {', '.join(unknown)} in {path}; "
-            f"expected {', '.join(MODEL_PARAMS)}"
-        )
     values = {}
-    for key, value in section.items():
+    for number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line[0] in "#;":
+            continue
+        at = f"config file {path}, line {number}"
+        if line[0] == "[":
+            raise ValueError(f"{at} has a section header ({line}): the file is flat")
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not (eq and key):
+            raise ValueError(f"{at} has parsing errors: {line!r} is not key = value")
+        if key not in MODEL_PARAMS:
+            raise ValueError(
+                f"{at}: unknown config key(s) {key}; "
+                f"expected {', '.join(MODEL_PARAMS)}"
+            )
+        if key in values:
+            raise ValueError(f"{at}: config key {key} already exists")
         try:
             values[key] = float(value)
         except ValueError:
-            raise ValueError(f"config key {key} is not a number: {value!r}") from None
+            raise ValueError(
+                f"{at}: config key {key} is not a number: {value!r}"
+            ) from None
     return values
 
 
@@ -307,6 +299,8 @@ def cmd_verify(args: argparse.Namespace, model: GbmModel) -> int:
 
     if args.paths < 1000:
         raise ValueError(f"--paths must be >= 1000, got {args.paths}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     _check_x0(args.x0)
     require_workers(args.workers)
     if args.perturb is not None:
@@ -410,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mstop",
         description="Optimal multiple stopping with exponential refraction periods.",
     )
-    config_help = "INI config file (or set MSTOP_CONFIG)"
+    config_help = "key = value config file (or set MSTOP_CONFIG)"
     parser.add_argument("--config", help=config_help)
 
     # Flags of the commands that take a model, built once and shared.

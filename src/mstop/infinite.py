@@ -31,10 +31,6 @@ class InfiniteSolution:
     x_hat_inf: float
     sigma_density: PiecewisePowerSum
     v_inf: PiecewisePowerSum
-    c1: float
-    c2: float
-    c3: float
-    c4: float
 
 
 def x_hat_infinite(model: GbmModel) -> float:
@@ -108,8 +104,4 @@ def solve_infinite(model: GbmModel) -> InfiniteSolution:
         x_hat_inf=x_hat,
         sigma_density=density,
         v_inf=v_inf,
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        c4=c4,
     )

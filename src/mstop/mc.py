@@ -272,7 +272,14 @@ def _columns(
     require_workers(workers)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    columns = np.empty((1 + len(variants), n_paths))
+    rows = 1 + len(variants)
+    try:
+        columns = np.empty((rows, n_paths))
+    except MemoryError:
+        raise ValueError(
+            f"the {rows} x {n_paths} (rows x paths) float64 array needs "
+            f"{8 * rows * n_paths} bytes, more than can be allocated: use fewer paths"
+        ) from None
     offsets = range(0, n_paths, BLOCK_SIZE)
     children = np.random.SeedSequence(seed).spawn(len(offsets))
 

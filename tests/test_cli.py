@@ -215,6 +215,16 @@ def test_verify_rejects_too_few_paths(capsys):
     assert code == 2
 
 
+def test_verify_paths_beyond_memory_exit_2(capsys):
+    # 10**16 float64 totals need 8e16 bytes, more than a 64-bit process can
+    # map, so the allocation fails the same way on every host.
+    argv = ["verify", "--paths", str(10**16), "--rights", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert f"1 x {10**16} (rows x paths)" in error and f"{8 * 10**16} bytes" in error
+
+
 @pytest.mark.parametrize(
     "argv", [("solve", "--x0", "nan"), ("verify", "--x0", "inf", "--paths", "1000")]
 )
@@ -322,11 +332,12 @@ def test_verify_perturb_exit_code_covers_scan(capsys, monkeypatch, fmt, dominate
 
 
 @pytest.mark.parametrize(
-    "argv", [("--perturb", "0.5"), ("--workers", "0"), ("--workers", "-3")]
+    "argv",
+    [("--perturb", "0.5"), ("--workers", "0"), ("--workers", "-3"), ("--seed", "-1")],
 )
 def test_verify_bad_mc_args_exit_2_before_solving(capsys, monkeypatch, argv):
-    # A bad --perturb or --workers is reported before any ladder solve or
-    # simulation starts.
+    # A bad --perturb, --workers or --seed is reported before any ladder
+    # solve or simulation starts.
     def no_solve(*_):
         raise AssertionError("solved before checking the MC arguments")
 
@@ -586,6 +597,15 @@ def test_repeat_invocations_byte_identical(capsys):
         ("[a]\nmu = 0.009\n[b]\nmu = 0.0095\n", "header ([a])"),
         ("mu = 0.009\n[other]\nmu = 0.0095\n", "header ([other])"),
         ("[mstop]\nmu = 0.009\n", "header ([mstop])"),
+        # Nothing is interpolated, ':' is no separator and keys are not
+        # case-folded.
+        ("mu = 0.01%\n", "config key mu is not a number: '0.01%'"),
+        ("mu = %(nope)s\n", "config key mu is not a number: '%(nope)s'"),
+        ("sigma = 0.2\nmu = %(sigma)s\n", "config key mu is not a number"),
+        ("mu: 0.009\n", "parsing errors"),
+        ("MU = 0.009\n", "unknown config key(s) MU"),
+        # The error names the offending line, comments and blanks counted.
+        ("# model\n\nsigma = 0.125\nmu = abc\n", "line 4: config key mu"),
     ],
 )
 def test_malformed_config_exit_2(tmp_path, capsys, text, message):
@@ -595,6 +615,14 @@ def test_malformed_config_exit_2(tmp_path, capsys, text, message):
     assert code == 2 and out == ""
     error = json.loads(err)
     assert message in error["error"] and error["exit_code"] == 2
+
+
+def test_config_comments_blank_lines_and_bare_equals(tmp_path, capsys):
+    cfg = tmp_path / "mstop.ini"
+    cfg.write_text("# drift\n; comment\n\n  # indented comment\nmu=0.009\n\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "solve", "--rights", "1")
+    assert code == 0
+    assert json.loads(out)["model"]["mu"] == 0.009
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Guards on the whole package: the robustness sweep's failure counts, a
 package surface that holds only what the package and the benchmark use,
-every package name the benchmark imports, and the exact solver's entry
-points running without numpy."""
+every package name the benchmark imports, the exact solver's entry points
+running without numpy and the CLI reading its config without configparser."""
 
 import ast
 import importlib
@@ -115,6 +115,28 @@ def test_solve_and_table_run_without_numpy(capsys, argv):
     expected = capsys.readouterr().out
     proc = run_python(
         BLOCK_NUMPY + "from mstop.cli import main; sys.exit(main())",
+        *argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out == expected
+
+
+# Makes configparser unimportable: the CLI reads its config file itself.
+BLOCK_CONFIGPARSER = "import sys; sys.modules['configparser'] = None; "
+
+
+def test_config_is_read_without_configparser(tmp_path, capsys):
+    cfg = tmp_path / "mstop.ini"
+    cfg.write_text("# drift\nmu = 0.009\nstrike = 3\n")
+    argv = ["solve", "--rights", "1", "--config", str(cfg)]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    proc = run_python(
+        BLOCK_CONFIGPARSER + "from mstop.cli import main; sys.exit(main())",
         *argv,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from mstop.finite import solve_ladder
-from mstop.infinite import riesz_density, solve_infinite, x_hat_infinite
-from mstop.model import GbmModel
+from mstop.infinite import (
+    _closed_form_coeffs,
+    riesz_density,
+    solve_infinite,
+    x_hat_infinite,
+)
+from mstop.model import GbmModel, derive_exponents
 from mstop.powerfn import call_payoff
 
 from conftest import ORACLE, REF_MODEL, v_hat_of, verification_slack, zero
@@ -51,11 +56,12 @@ def test_riesz_density_sign_other_params():
 
 
 def test_closed_form_coefficients():
-    sol = solve_infinite(REF_MODEL)
-    assert sol.c1 == pytest.approx(ORACLE["c1"], rel=1e-12)
-    assert sol.c2 == pytest.approx(ORACLE["c2"], rel=1e-12)
-    assert sol.c3 == pytest.approx(ORACLE["c3"], rel=1e-12)
-    assert sol.c4 == pytest.approx(ORACLE["c4"], rel=1e-12)
+    coeffs = _closed_form_coeffs(
+        REF_MODEL, derive_exponents(REF_MODEL), x_hat_infinite(REF_MODEL)
+    )
+    assert coeffs == pytest.approx(
+        tuple(ORACLE[c] for c in ("c1", "c2", "c3", "c4")), rel=1e-12
+    )
 
 
 def test_negligible_term_reconciles_as_zero():
@@ -69,7 +75,7 @@ def test_negligible_term_reconciles_as_zero():
         strike=0.06223750555365426,
     )
     sol = solve_infinite(model)
-    assert sol.c3 == 0.0
+    assert _closed_form_coeffs(model, sol.exponents, sol.x_hat_inf)[2] == 0.0
     ladder = solve_ladder(model, 3)
     assert ladder.thresholds[-1] > sol.x_hat_inf
 
