@@ -254,8 +254,6 @@ def _values_by_quadrature(model: GbmModel, ladder, x0: float) -> list[float]:
 
 
 def cmd_table(args: argparse.Namespace, model: GbmModel) -> int:
-    if args.preset != "paper-table1":
-        raise ValueError(f"unknown preset: {args.preset}")
     ladder = solve_ladder(model, 5)
     x_hat = x_hat_infinite(model)
     computed = list(ladder.thresholds)
@@ -264,7 +262,7 @@ def cmd_table(args: argparse.Namespace, model: GbmModel) -> int:
     if args.format == "json":
         report = {
             "model": _model_dict(model),
-            "preset": args.preset,
+            "preset": "paper-table1",
             "computed": computed,
             "published": published,
             "abs_diff": diffs,
@@ -293,7 +291,6 @@ def cmd_verify(args: argparse.Namespace, model: GbmModel) -> int:
         PolicySpec,
         policy_dominance_scan,
         require_perturbation,
-        require_workers,
         simulate_policy,
     )
 
@@ -302,25 +299,18 @@ def cmd_verify(args: argparse.Namespace, model: GbmModel) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     _check_x0(args.x0)
-    require_workers(args.workers)
     if args.perturb is not None:
         require_perturbation(args.perturb)
     ladder = solve_ladder(model, args.rights)
     analytic = ladder.values[-1](args.x0)
     if args.perturb is None:
         policy = PolicySpec(thresholds=ladder.thresholds, x0=args.x0)
-        est = simulate_policy(model, policy, args.paths, args.seed, args.workers)
+        est = simulate_policy(model, policy, args.paths, args.seed)
         mean, std_err = est.mean, est.std_err
     else:
         # The scan's base is the same walk as simulate_policy with this seed.
         dominance = policy_dominance_scan(
-            model,
-            ladder.thresholds,
-            args.x0,
-            args.perturb,
-            args.paths,
-            args.seed,
-            args.workers,
+            model, ladder.thresholds, args.x0, args.perturb, args.paths, args.seed
         )
         mean, std_err = dominance["base_mean"], dominance["base_se"]
     z = 0.0 if std_err == 0.0 else (mean - analytic) / std_err
@@ -437,14 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="reproduce the reference table (reference model only)"
     )
     add_output(p_table)
-    p_table.add_argument("--preset", default="paper-table1")
     p_table.set_defaults(func=cmd_table)
 
     p_verify = subs.add_parser(
         "verify", parents=[model], help="Monte Carlo verification"
     )
     add_output(p_verify)
-    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--paths", type=int, default=1_000_000)
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--rights", type=int, default=5)

@@ -10,7 +10,7 @@ transform; the others are exercised at once, with passage time 0.
 
 Reproducibility: paths are processed in fixed-size blocks of 65536, each
 with an independent child of SeedSequence(seed).  Results for a given
-(seed, n_paths) are bit-identical regardless of worker count, and two
+(seed, n_paths) are bit-identical regardless of thread count, and two
 policies simulated with the same seed share all random draws (common random
 numbers), because every block consumes draws in a fixed per-stage pattern.
 
@@ -29,6 +29,7 @@ each (base totals and one paired difference per variant).
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -96,11 +97,6 @@ class McEstimate:
             raise ValueError("n_paths must be >= 1")
         if self.std_err < 0.0:
             raise ValueError("std_err must be nonnegative")
-
-
-def require_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def require_perturbation(perturbation: float) -> None:
@@ -263,13 +259,12 @@ def _columns(
     variants: list[Variant],
     n_paths: int,
     seed: int,
-    workers: int,
 ) -> Array:
     """The rows `_run_block` writes, over all n_paths paths: block k covers
     paths [k BLOCK_SIZE, (k + 1) BLOCK_SIZE) and is seeded by the k-th child
-    of SeedSequence(seed)."""
+    of SeedSequence(seed).  Blocks run on one thread per CPU this process
+    may run on, at most one per block; each writes only its own columns."""
     require_valid(model, require_positive_net_drift=True)
-    require_workers(workers)
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     rows = 1 + len(variants)
@@ -287,10 +282,11 @@ def _columns(
         block = columns[:, lo : lo + BLOCK_SIZE]
         _run_block(model, policy, variants, block, np.random.default_rng(child))
 
-    if workers > 1:
+    threads = min(len(offsets), _cpus())
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, offsets, children))
     else:
         for lo, child in zip(offsets, children):
@@ -298,10 +294,26 @@ def _columns(
     return columns
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on (its affinity mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _mean_se(values: Array) -> tuple[float, float]:
+    """Mean and standard error; a ValueError where their sums overflow (the
+    squared deviations do once the totals pass about 1e154)."""
     n = values.size
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(values.mean()), se
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+            return float(values.mean()), se
+    except FloatingPointError:
+        raise ValueError(
+            f"the mean or standard error of totals up to {np.abs(values).max():.6g} "
+            "overflows: use a smaller x0"
+        ) from None
 
 
 def simulate_policy(
@@ -309,13 +321,12 @@ def simulate_policy(
     policy: PolicySpec,
     n_paths: int,
     seed: int,
-    workers: int = 1,
 ) -> McEstimate:
     """Estimate the expected discounted total payoff of a threshold policy.
 
     Every path exercises all of its rights: hitting times are a.s. finite.
     """
-    totals = _columns(model, policy, [], n_paths, seed, workers)[0]
+    totals = _columns(model, policy, [], n_paths, seed)[0]
     mean, std_err = _mean_se(totals)
     return McEstimate(mean=mean, std_err=std_err, n_paths=n_paths, seed=seed)
 
@@ -327,7 +338,6 @@ def policy_dominance_scan(
     perturbation: float,
     n_paths: int,
     seed: int,
-    workers: int = 1,
 ) -> dict:
     """Compare the given policy against +/- perturbed variants under common
     random numbers.
@@ -350,7 +360,7 @@ def policy_dominance_scan(
             # A variant may start from x0 too: PolicySpec checks it.
             variants.append((i, direction, PolicySpec(tuple(shifted), x0).thresholds))
     # Row 0 holds the base totals, row 1 + j the differences for variant j.
-    columns = _columns(model, base_policy, variants, n_paths, seed, workers)
+    columns = _columns(model, base_policy, variants, n_paths, seed)
     rows: list[dict] = []
     dominated = True
     for (i, direction, shifted), diff in zip(variants, columns[1:]):

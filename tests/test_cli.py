@@ -52,17 +52,21 @@ def test_solve_single_right_threshold(capsys):
 
 
 def test_solve_engines_agree(capsys):
-    code, out_a, _ = run_cli(capsys, "solve", "--rights", "2", "--x0", "2")
-    assert code == 0
-    code, out_q, _ = run_cli(
-        capsys, "solve", "--rights", "2", "--x0", "2", "--engine", "quadrature"
-    )
-    assert code == 0
-    alg = json.loads(out_a)
-    quad = json.loads(out_q)
-    for va, vq in zip(alg["values_at_x0"], quad["values_at_x0"]):
-        assert vq == pytest.approx(va, rel=1e-6)
-    assert quad["v_inf_at_x0"] == pytest.approx(alg["v_inf_at_x0"], rel=1e-6)
+    # x*_1 ~ 3.318 and x*_2 ~ 3.080: x0 = 2 is below both thresholds, where
+    # the quadrature engine scales H^i(x*_i), and x0 = 4 above both, where
+    # it evaluates H^i(x0).
+    for x0 in ("2", "4"):
+        code, out_a, _ = run_cli(capsys, "solve", "--rights", "2", "--x0", x0)
+        assert code == 0
+        code, out_q, _ = run_cli(
+            capsys, "solve", "--rights", "2", "--x0", x0, "--engine", "quadrature"
+        )
+        assert code == 0
+        alg = json.loads(out_a)
+        quad = json.loads(out_q)
+        for va, vq in zip(alg["values_at_x0"], quad["values_at_x0"]):
+            assert vq == pytest.approx(va, rel=1e-6)
+        assert quad["v_inf_at_x0"] == pytest.approx(alg["v_inf_at_x0"], rel=1e-6)
 
 
 def test_solve_invalid_model_exit_2(capsys):
@@ -160,12 +164,6 @@ def test_table_names_published_erratum(capsys):
         "published rows 3, 4, 5 are an erratum, not the solution of the "
         'recursion (README, "Published table erratum")'
     )
-
-
-def test_table_unknown_preset_exit_2(capsys):
-    code, _, err = run_cli(capsys, "table", "--preset", "nope")
-    assert code == 2
-    assert "unknown preset" in json.loads(err)["error"]
 
 
 # -- verify --------------------------------------------------------------------
@@ -308,7 +306,7 @@ def test_verify_perturb_exit_code_covers_scan(capsys, monkeypatch, fmt, dominate
     # the exit code is the scan's alone: 4 when a variant beats the base.
     analytic = solve_ladder(REF_MODEL, 2).values[-1](2.0)
 
-    def scan(model, thresholds, x0, perturbation, n_paths, seed, workers):
+    def scan(model, thresholds, x0, perturbation, n_paths, seed):
         return {
             "base_mean": analytic,
             "base_se": 0.01,
@@ -333,10 +331,10 @@ def test_verify_perturb_exit_code_covers_scan(capsys, monkeypatch, fmt, dominate
 
 @pytest.mark.parametrize(
     "argv",
-    [("--perturb", "0.5"), ("--workers", "0"), ("--workers", "-3"), ("--seed", "-1")],
+    [("--perturb", "0.5"), ("--seed", "-1")],
 )
 def test_verify_bad_mc_args_exit_2_before_solving(capsys, monkeypatch, argv):
-    # A bad --perturb, --workers or --seed is reported before any ladder
+    # A bad --perturb or --seed is reported before any ladder
     # solve or simulation starts.
     def no_solve(*_):
         raise AssertionError("solved before checking the MC arguments")
@@ -345,6 +343,22 @@ def test_verify_bad_mc_args_exit_2_before_solving(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, "verify", "--paths", "1000000", *argv)
     assert code == 2 and out == ""
     assert argv[0].lstrip("-") in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--rights", "1", "--paths", "1000", "--x0", "1e300"),
+        ("--rights", "2", "--paths", "1000", "--x0", "1e200", "--perturb", "0.1"),
+    ],
+)
+def test_verify_overflowing_totals_exit_2(capsys, argv):
+    # Totals past about 1e154 overflow the squared deviations of the standard
+    # error: an infinite one would make z = 0 and pass any estimate.
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert "overflows" in error and "smaller x0" in error
 
 
 # -- curve --------------------------------------------------------------------
@@ -513,6 +527,8 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
         ("verify", "--format", "csv"),
         ("table", "--mu", "0.01"),
         ("table", "--config", "mstop.ini"),
+        ("table", "--preset", "paper-table1"),
+        ("verify", "--workers", "2"),
     ],
 )
 def test_unused_flags_rejected_exit_2(capsys, argv):

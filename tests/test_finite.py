@@ -19,7 +19,7 @@ from mstop.finite import (
 )
 from mstop.infinite import solve_infinite, x_hat_infinite
 from mstop.model import GbmModel, derive_exponents
-from mstop.powerfn import PiecewisePowerSum, call_payoff, combine
+from mstop.powerfn import PiecewisePowerSum, PowerTerm, call_payoff, combine
 
 from conftest import (
     ORACLE,
@@ -279,6 +279,19 @@ def test_values_are_threshold_forms():
         j = bisect_right(h.breakpoints, x_i)
         assert v.breakpoints == (x_i, *h.breakpoints[j:])
         assert v.polys[1:] == h.polys[j:]
+
+
+def test_benchmark_stage_assembly_is_threshold_form(ladder5):
+    # The benchmark's stage-by-stage rebuild times V^i's assembly as a
+    # combine of c*_i x^b below x*_i and H^i truncated there; that must be
+    # the V^i solve_ladder builds with threshold_form.
+    b = ladder5.exponents.b
+    for h, x_i, c_i in list(
+        zip(ladder5.h_funcs, ladder5.thresholds, ladder5.c_stars)
+    )[1:]:
+        below = PiecewisePowerSum((x_i,), ((PowerTerm(c_i, b),), ()))
+        assembled = combine(below, finite._truncate_below(h, x_i))
+        assert assembled == finite.threshold_form(h, x_i, b)
 
 
 def with_stage(ladder, i, v=None, h=None):

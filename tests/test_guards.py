@@ -1,10 +1,13 @@
 """Guards on the whole package: the robustness sweep's failure counts, a
 package surface that holds only what the package and the benchmark use,
 every package name the benchmark imports, the exact solver's entry points
-running without numpy and the CLI reading its config without configparser."""
+running without numpy, the CLI reading its config without configparser and
+README naming the CLI's flags."""
 
+import argparse
 import ast
 import importlib
+import re
 import subprocess
 from collections import Counter
 from pathlib import Path
@@ -12,13 +15,14 @@ from pathlib import Path
 import pytest
 
 import mstop
-from mstop.cli import main
+from mstop.cli import build_parser, main
 
 from conftest import REF_MODEL, run_python
 from robustness_sweep import run_sweep
 
 SRC = Path(mstop.__file__).resolve().parent
 BENCH = SRC.parents[1] / "bench"
+README = SRC.parents[1] / "README.md"
 
 
 def test_robustness_sweep_counts():
@@ -171,3 +175,24 @@ def test_monte_carlo_names_load_on_first_use():
     assert set(mstop.__all__) <= namespace.keys()
     with pytest.raises(AttributeError, match="no_such_name"):
         mstop.no_such_name
+
+
+def test_readme_and_parser_name_the_same_flags():
+    # A flag added to or removed from the CLI must reach README, and README
+    # must not document a flag the CLI no longer has.
+    parsers = [build_parser()]
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+    parsed = {
+        flag
+        for parser in parsers
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", README.read_text()))
+    named.discard("--no-build-isolation")  # pip's, in the install section
+    assert parsed - named == set()
+    assert named - parsed == set()

@@ -1,9 +1,12 @@
+import concurrent.futures
 import math
+import os
 import sys
 
 import numpy as np
 import pytest
 
+from mstop import mc
 from mstop.finite import solve_ladder, solve_single
 from mstop.mc import (
     McEstimate,
@@ -176,11 +179,39 @@ def test_single_right_agrees_with_analytic():
     assert abs(est.mean - ORACLE["v1_at_2"]) <= 3.0 * est.std_err
 
 
-def test_reproducible_across_workers():
+def test_cpus_is_the_affinity_mask_else_cpu_count(monkeypatch):
+    assert mc._cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert mc._cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert mc._cpus() == 1
+
+
+def _spy_on_threads(monkeypatch):
+    """The list of the sizes of the thread pools mc builds from now on."""
+    sizes = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+    return sizes
+
+
+def test_reproducible_across_workers(monkeypatch):
+    # Three blocks: one CPU runs them in a loop, four CPUs on three threads.
     x1 = solve_single(REF_MODEL)[0]
     policy = PolicySpec(thresholds=(x1,), x0=2.0)
-    a = simulate_policy(REF_MODEL, policy, 150_000, seed=77, workers=1)
-    b = simulate_policy(REF_MODEL, policy, 150_000, seed=77, workers=4)
+    sizes = _spy_on_threads(monkeypatch)
+    monkeypatch.setattr(mc, "_cpus", lambda: 1)
+    a = simulate_policy(REF_MODEL, policy, 150_000, seed=77)
+    assert sizes == []
+    monkeypatch.setattr(mc, "_cpus", lambda: 4)
+    b = simulate_policy(REF_MODEL, policy, 150_000, seed=77)
+    assert sizes == [3]
     assert a.mean == b.mean
     assert a.std_err == b.std_err
 
@@ -273,17 +304,21 @@ def test_scan_matches_full_resimulation(ladder5):
         assert v["se_diff"] == float(diff.std(ddof=1) / math.sqrt(n_paths))
 
 
-def test_scan_identical_across_workers(ladder5):
+def test_scan_identical_across_workers(ladder5, monkeypatch):
     # Three blocks, each written by its own thread into one shared array;
     # a short switch interval makes the threads interleave often.
     args = (REF_MODEL, ladder5.thresholds, 2.0, 0.05, 140_000, 3)
-    serial = policy_dominance_scan(*args, workers=1)
+    sizes = _spy_on_threads(monkeypatch)
+    monkeypatch.setattr(mc, "_cpus", lambda: 1)
+    serial = policy_dominance_scan(*args)
+    monkeypatch.setattr(mc, "_cpus", lambda: 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threaded = policy_dominance_scan(*args, workers=3)
+        threaded = policy_dominance_scan(*args)
     finally:
         sys.setswitchinterval(interval)
+    assert sizes == [3]
     assert threaded == serial
 
 
@@ -292,17 +327,6 @@ def test_scan_base_is_simulate_policy(ladder5):
     est = simulate_policy(REF_MODEL, PolicySpec(ladder5.thresholds, 2.0), 70_000, seed=5)
     assert report["base_mean"] == est.mean
     assert report["base_se"] == est.std_err
-
-
-@pytest.mark.parametrize("workers", [0, -3])
-def test_workers_below_one_rejected(ladder5, workers):
-    policy = PolicySpec(thresholds=ladder5.thresholds, x0=2.0)
-    with pytest.raises(ValueError, match="workers"):
-        simulate_policy(REF_MODEL, policy, 1000, seed=1, workers=workers)
-    with pytest.raises(ValueError, match="workers"):
-        policy_dominance_scan(
-            REF_MODEL, ladder5.thresholds, 2.0, 0.05, 1000, seed=1, workers=workers
-        )
 
 
 def test_flat_policy_is_suboptimal(ladder5):
