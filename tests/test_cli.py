@@ -331,7 +331,12 @@ def test_verify_perturb_exit_code_covers_scan(capsys, monkeypatch, fmt, dominate
 
 @pytest.mark.parametrize(
     "argv",
-    [("--perturb", "0.5"), ("--seed", "-1")],
+    [
+        ("--perturb", "0.5"),
+        ("--perturb", "0"),
+        ("--perturb", "nan"),
+        ("--seed", "-1"),
+    ],
 )
 def test_verify_bad_mc_args_exit_2_before_solving(capsys, monkeypatch, argv):
     # A bad --perturb or --seed is reported before any ladder
