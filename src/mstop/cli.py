@@ -313,7 +313,13 @@ def cmd_verify(args: argparse.Namespace, model: GbmModel) -> int:
             model, ladder.thresholds, args.x0, args.perturb, args.paths, args.seed
         )
         mean, std_err = dominance["base_mean"], dominance["base_se"]
-    z = 0.0 if std_err == 0.0 else (mean - analytic) / std_err
+    # numpy's pairwise mean of n totals may round by up to about
+    # (log2 n + 1) u mean|y|, u = 2^-53, and the totals are nonnegative, so
+    # mean|y| is the mean.  Without this term, identical totals whose mean
+    # rounds one ulp off (x0 = 1e160) give a tiny std error and a false fail.
+    rounding = (math.log2(args.paths) + 1.0) * sys.float_info.epsilon / 2 * abs(mean)
+    spread = math.hypot(std_err, rounding)
+    z = 0.0 if spread == 0.0 else (mean - analytic) / spread
     passed = abs(z) <= 3.0
     report = {
         "model": _model_dict(model),

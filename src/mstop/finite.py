@@ -27,6 +27,7 @@ from mstop.powerfn import (
     DivergenceError,
     PiecewisePowerSum,
     Poly,
+    _trim,
     _value,
     call_payoff,
     combine,
@@ -258,10 +259,11 @@ def _truncate_below(f: PiecewisePowerSum, cut: float) -> PiecewisePowerSum:
 
 def threshold_form(f: PiecewisePowerSum, cut: float, e: float) -> PiecewisePowerSum:
     """c x^e on (0, cut] and f above, with c = f(cut) / cut^e so that the
-    result is continuous at cut."""
+    result is continuous at cut.  f's pieces are kept as they are; a
+    negligible c is dropped, so it reads 0."""
     j = bisect_right(f.breakpoints, cut)
     return PiecewisePowerSum.from_polys(
-        (cut, *f.breakpoints[j:]), ({e: [f(cut) / cut**e]}, *f.polys[j:])
+        (cut, *f.breakpoints[j:]), (_trim({e: [f(cut) / cut**e]}), *f.polys[j:])
     )
 
 

@@ -19,8 +19,11 @@ terms from the third exercise right onward.  Terms supplied by callers as
 PowerTerms are canonicalized once, on construction.
 
 One kernel, _value, evaluates every sum of x^p C(ln x) terms, for a float
-or an array x.  Array evaluation groups the points by piece and touches only
-the pieces that hold points, with one kernel call each.  The resolvent takes
+or an array x, with augmented assignments: they rebind floats and update
+arrays in place, so both run the same arithmetic.  Array evaluation counts
+the breakpoints below each point to find its piece, groups the points by
+piece and touches only the pieces that hold points, with one kernel call
+each; a piece without log terms takes no logs.  The resolvent takes
 each term in one backward pass over its log coefficients: both
 antiderivative recurrences and Horner's rule run from the top log power
 down, so one loop yields the two antiderivatives, the particular part and
@@ -122,13 +125,24 @@ def _canonical_poly(terms: Iterable[PowerTerm]) -> Poly:
 
 def _value(terms: Iterable[tuple[float, Sequence[float]]], x, lx):
     """Sum of x^p C(lx) over the (p, C) pairs, C by Horner's rule in
-    lx = ln x; x and lx are floats or arrays of one shape."""
+    lx = ln x; x and lx are floats or arrays of one shape, and lx may be
+    None when every C is a constant.
+
+    Augmented assignment rebinds floats and updates arrays in place, so
+    floats and arrays run the same arithmetic: C's Horner value
+    ((c_K lx + c_(K-1)) lx + ...) + c_0 times x^p for each term, the terms
+    summed in order onto 0.0.
+    """
     total = 0.0
     for p, cs in terms:
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * lx + c
-        total += acc * x**p
+        it = reversed(cs)
+        acc = next(it)
+        for c in it:
+            acc *= lx
+            acc += c
+        t = x**p
+        t *= acc
+        total += t
     return total
 
 
@@ -175,11 +189,12 @@ class PiecewisePowerSum:
     def from_polys(
         cls, breakpoints: Iterable[float], polys: Iterable[Poly]
     ) -> "PiecewisePowerSum":
-        """Build from exponent-keyed pieces on valid breakpoints; the result
-        takes ownership of the dicts and lists."""
+        """Build from trimmed exponent-keyed pieces (as `_trim` returns them)
+        on valid breakpoints; the result takes ownership of the dicts and
+        lists."""
         f = object.__new__(cls)
         f.breakpoints = tuple(breakpoints)
-        f.polys = tuple(_trim(p) for p in polys)
+        f.polys = tuple(polys)
         return f
 
     # -- evaluation ---------------------------------------------------------
@@ -193,9 +208,13 @@ class PiecewisePowerSum:
     def evaluate_many(self, x: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
         """Vectorized evaluation on an array of positive finite points.
 
-        Each point's piece is found once; a stable radix sort of the piece
-        indices groups the points, and each nonempty piece gathers its own
-        points, evaluates them and scatters the values back.
+        Each point's piece is the number of breakpoints below it, counted in
+        one comparison pass per breakpoint: O(pieces x points), and no
+        slower than np.searchsorted up to the 82 pieces of H^100, since
+        binary search over unsorted points is branch-bound.  A stable radix
+        sort of the piece indices groups the points, and each nonempty
+        piece gathers its own points, evaluates them in place and scatters
+        the values back; a piece without log terms skips the logs.
         """
         # The only numpy use in the exact algebra: the solver runs on floats.
         import numpy as np
@@ -208,11 +227,12 @@ class PiecewisePowerSum:
         # benchmark this ordering lowers peak RSS by about 1 MB (glibc heap).
         out = np.zeros(flat.size)
         polys = self.polys
-        # Piece indices in the smallest unsigned dtype that holds them: numpy
-        # sorts integers of up to 16 bits stably by radix, in linear time.
-        idx = np.searchsorted(self.breakpoints, flat, side="left").astype(
-            np.min_scalar_type(len(polys) - 1)
-        )
+        # Right-closed, as bisect_left.  The smallest unsigned dtype that
+        # holds the index: numpy sorts integers of up to 16 bits stably by
+        # radix, in linear time.
+        idx = np.zeros(flat.size, np.min_scalar_type(len(polys) - 1))
+        for b in self.breakpoints:
+            idx += flat > b
         order = np.argsort(idx, kind="stable")
         ends = np.bincount(idx, minlength=len(polys)).cumsum().tolist()
         start = 0
@@ -220,7 +240,8 @@ class PiecewisePowerSum:
             if poly and end > start:
                 sel = order[start:end]
                 xs = flat[sel]
-                out[sel] = _value(poly.items(), xs, np.log(xs))
+                logs = any(len(cs) > 1 for cs in poly.values())
+                out[sel] = _value(poly.items(), xs, np.log(xs) if logs else None)
             start = end
         return out.reshape(x.shape)
 
@@ -279,7 +300,7 @@ def combine(
         m: Poly = {}
         _axpy(m, f.polys[bisect_left(f.breakpoints, probe)], cf)
         _axpy(m, g.polys[bisect_left(g.breakpoints, probe)], cg)
-        polys.append(m)
+        polys.append(_trim(m))
     return PiecewisePowerSum.from_polys(bps, polys)
 
 
@@ -417,4 +438,4 @@ def resolvent_apply(
     for part, a, b in zip(parts, c_phi, c_psi):
         _add_coef(part, mq, 0, a)
         _add_coef(part, pq, 0, b)
-    return PiecewisePowerSum.from_polys(f.breakpoints, parts)
+    return PiecewisePowerSum.from_polys(f.breakpoints, map(_trim, parts))

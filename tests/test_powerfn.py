@@ -1,11 +1,15 @@
 import json
 import math
+from bisect import bisect_left
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mstop import powerfn
-from mstop.finite import delta, solve_ladder
+from mstop.finite import _slope, delta, solve_ladder
 from mstop.model import GbmModel, derive_exponents, root_pair, validate
 from mstop.powerfn import (
     EXPONENT_MERGE_TOL,
@@ -15,6 +19,7 @@ from mstop.powerfn import (
     PowerTerm,
     _add_coef,
     _axpy,
+    _trim,
     _value,
     call_payoff,
     combine,
@@ -64,16 +69,30 @@ def generator_apply(f: PiecewisePowerSum, model: GbmModel) -> PiecewisePowerSum:
                 out[k - 2] += cs[k] * 0.5 * s2 * k * (k - 1)
             m[p] = out
         polys.append(m)
-    return PiecewisePowerSum.from_polys(f.breakpoints, polys)
+    return PiecewisePowerSum.from_polys(f.breakpoints, map(_trim, polys))
 
 
 def has_log_terms(f: PiecewisePowerSum) -> bool:
     return any(len(cs) > 1 for poly in f.polys for cs in poly.values())
 
 
+def seed_value(terms, x, lx):
+    """_value as it was before the in-place kernel, frozen as the reference
+    arithmetic: Horner from 0.0 as acc * lx + c, each term added onto 0.0 as
+    acc * x**p."""
+    total = 0.0
+    for p, cs in terms:
+        acc = 0.0
+        for c in reversed(cs):
+            acc = acc * lx + c
+        total += acc * x**p
+    return total
+
+
 def masked_evaluate_many(f: PiecewisePowerSum, x) -> np.ndarray:
-    """Reference evaluation: one boolean mask per piece over the whole
-    array, as evaluate_many did before it grouped the points by piece."""
+    """Reference evaluation: searchsorted, one boolean mask per piece over
+    the whole array and the frozen seed kernel, as evaluate_many did before
+    it grouped the points by piece."""
     x = np.asarray(x, dtype=float)
     idx = np.searchsorted(np.asarray(f.breakpoints), x, side="left")
     out = np.zeros_like(x)
@@ -81,7 +100,7 @@ def masked_evaluate_many(f: PiecewisePowerSum, x) -> np.ndarray:
     for j, poly in enumerate(f.polys):
         mask = idx == j
         if poly and np.any(mask):
-            out[mask] = _value(poly.items(), x[mask], lx[mask])
+            out[mask] = seed_value(poly.items(), x[mask], lx[mask])
     return out
 
 
@@ -178,7 +197,7 @@ def ladder60():
 def assert_same_as_masked(f: PiecewisePowerSum, x) -> None:
     got, want = f.evaluate_many(x), masked_evaluate_many(f, x)
     assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros included
 
 
 def test_evaluate_many_matches_masked_reference(ladder60):
@@ -240,6 +259,87 @@ def test_evaluate_many_touches_only_nonempty_pieces(ladder60, monkeypatch):
     got = v.evaluate_many(x)
     assert sorted(calls) == [1, 2, 2]
     assert np.array_equal(got, want)
+
+
+def test_scalar_kernel_matches_seed_on_ladder60(ladder60):
+    # Every piece of every V^i and H^i, at its closing end, inside it and
+    # beyond the last breakpoint: values and smooth-fit slopes.
+    for f in (*ladder60.values, *ladder60.h_funcs):
+        bps = f.breakpoints
+        mids = [math.sqrt(a * b) for a, b in zip(bps, bps[1:])]
+        points = [bps[0] / 2.0, *bps, *mids, bps[-1] * 2.0]
+        seen = set()
+        for x in points:
+            k = bisect_left(bps, x)
+            seen.add(k)
+            poly, lx = f.polys[k], math.log(x)
+            assert repr(f(x)) == repr(seed_value(poly.items(), x, lx))
+            slope_terms = [(p - 1.0, ratio_coefs(p, cs)) for p, cs in poly.items()]
+            assert repr(_slope(poly, x)) == repr(seed_value(slope_terms, x, lx))
+        assert seen == set(range(len(f.polys)))
+    # c*_i = H^i(x*_i) / x*_i^b, with H^i read by __call__.
+    b = ladder60.exponents.b
+    for h, x, c_star in zip(ladder60.h_funcs, ladder60.thresholds, ladder60.c_stars):
+        poly = h.polys[bisect_left(h.breakpoints, x)]
+        assert repr(c_star) == repr(seed_value(poly.items(), x, math.log(x)) / x**b)
+
+
+def test_kernel_sums_terms_onto_positive_zero():
+    # -1e-299 x^30 underflows to -0.0 at x = 1e-5; the seed kernel adds it
+    # to 0.0, so the value is +0.0 for a float and for an array alike.
+    f = PiecewisePowerSum((), ((PowerTerm(-1e-299, 30.0),),))
+    assert repr(f(1e-5)) == "0.0"
+    assert_same_as_masked(f, np.array([1e-5, 2.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@example(n_bp=300, max_log_power=20, seed=0)
+@given(
+    n_bp=st.integers(0, 300),
+    max_log_power=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_many_matches_seed_kernel_property(n_bp, max_log_power, seed):
+    # Up to 301 pieces, so the piece index needs uint16; each piece is empty,
+    # log-free or carries log powers up to max_log_power.
+    rng = np.random.default_rng(seed)
+    bps = np.unique(np.exp(rng.uniform(math.log(0.01), math.log(100.0), n_bp)))
+    pieces = []
+    for _ in range(bps.size + 1):
+        kind = int(rng.integers(0, 3))  # 0 empty, 1 log-free, 2 with logs
+        top = max_log_power if kind == 2 else 0
+        pieces.append(
+            tuple(
+                PowerTerm(
+                    float(rng.uniform(-3.0, 3.0)),
+                    float(rng.choice([0.0, 1.0, rng.uniform(-3.0, 3.0)])),
+                    int(rng.integers(0, top + 1)),
+                )
+                for _ in range(int(rng.integers(1, 4)) if kind else 0)
+            )
+        )
+    f = PiecewisePowerSum(tuple(bps.tolist()), tuple(pieces))
+    x = np.concatenate(
+        [
+            np.exp(rng.uniform(math.log(0.005), math.log(200.0), 2000)),
+            bps,  # exactly at breakpoints: the left piece
+            np.nextafter(bps, math.inf),
+            np.nextafter(bps, 0.0),
+            bps[::-1],
+        ]
+    )
+    rng.shuffle(x)
+    calls = []
+
+    def spy(terms, x, lx):
+        terms = list(terms)
+        calls.append((all(len(cs) == 1 for _, cs in terms), lx is None))
+        return _value(terms, x, lx)
+
+    with mock.patch.object(powerfn, "_value", spy):
+        got = f.evaluate_many(x)
+    assert got.tobytes() == masked_evaluate_many(f, x).tobytes()
+    assert all(log_free == skipped for log_free, skipped in calls)
 
 
 # -- combine ------------------------------------------------------------------
@@ -481,7 +581,7 @@ def reference_resolvent(
     for part, a, b in zip(parts, c_phi, reversed(c_psi)):
         _add_coef(part, mq, 0, a)
         _add_coef(part, pq, 0, b)
-    return PiecewisePowerSum.from_polys(f.breakpoints, parts)
+    return PiecewisePowerSum.from_polys(f.breakpoints, map(_trim, parts))
 
 
 def reference_delta(
