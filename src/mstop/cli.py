@@ -313,11 +313,14 @@ def cmd_verify(args: argparse.Namespace, model: GbmModel) -> int:
             model, ladder.thresholds, args.x0, args.perturb, args.paths, args.seed
         )
         mean, std_err = dominance["base_mean"], dominance["base_se"]
-    # numpy's pairwise mean of n totals may round by up to about
-    # (log2 n + 1) u mean|y|, u = 2^-53, and the totals are nonnegative, so
-    # mean|y| is the mean.  Without this term, identical totals whose mean
-    # rounds one ulp off (x0 = 1e160) give a tiny std error and a false fail.
-    rounding = (math.log2(args.paths) + 1.0) * sys.float_info.epsilon / 2 * abs(mean)
+    # numpy's pairwise sum passes each of the n totals through at most
+    # log2 n + 18 roundings (blocks of up to 128 in 8 running sums, a 3-level
+    # tree and a rest of up to 7, halved recursively above 128), and the mean
+    # divides once more; the totals are nonnegative, so the mean's rounding
+    # is at most (log2 n + 19) u mean, u = 2^-53.  Without this term,
+    # identical totals whose mean rounds a few ulps off (x0 = 1e160) give a
+    # tiny std error and a false fail.
+    rounding = (math.log2(args.paths) + 19.0) * sys.float_info.epsilon / 2 * mean
     spread = math.hypot(std_err, rounding)
     z = 0.0 if spread == 0.0 else (mean - analytic) / spread
     passed = abs(z) <= 3.0

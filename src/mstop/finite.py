@@ -27,7 +27,6 @@ from mstop.powerfn import (
     DivergenceError,
     PiecewisePowerSum,
     Poly,
-    _trim,
     _value,
     call_payoff,
     combine,
@@ -259,11 +258,10 @@ def _truncate_below(f: PiecewisePowerSum, cut: float) -> PiecewisePowerSum:
 
 def threshold_form(f: PiecewisePowerSum, cut: float, e: float) -> PiecewisePowerSum:
     """c x^e on (0, cut] and f above, with c = f(cut) / cut^e so that the
-    result is continuous at cut.  f's pieces are kept as they are; a
-    negligible c is dropped, so it reads 0."""
+    result is continuous at cut."""
     j = bisect_right(f.breakpoints, cut)
     return PiecewisePowerSum.from_polys(
-        (cut, *f.breakpoints[j:]), (_trim({e: [f(cut) / cut**e]}), *f.polys[j:])
+        (cut, *f.breakpoints[j:]), ({e: [f(cut) / cut**e]}, *f.polys[j:])
     )
 
 

@@ -30,7 +30,6 @@ from mstop.powerfn import (
     Poly,
     PowerTerm,
     _axpy,
-    _trim,
     _value,
     call_payoff,
     ratio_coefs,
@@ -128,7 +127,7 @@ def ratio_derivative(f: PiecewisePowerSum, p: float) -> PiecewisePowerSum:
             # Distinct q can land on one float after the shift: accumulate.
             _axpy(m, {q - p - 1.0: ratio_coefs(q - p, cs)}, 1.0)
         polys.append(m)
-    return PiecewisePowerSum.from_polys(f.breakpoints, map(_trim, polys))
+    return PiecewisePowerSum.from_polys(f.breakpoints, polys)
 
 
 def antiderivative(s: float, cs: Sequence[float]) -> list[float]:

@@ -366,13 +366,15 @@ def test_verify_overflowing_totals_exit_2(capsys, argv):
     assert "overflows" in error and "smaller x0" in error
 
 
-@pytest.mark.parametrize("x0", ["1e160", "1e100"])
-def test_verify_rounded_mean_of_identical_totals_passes(capsys, x0):
+@pytest.mark.parametrize(
+    "paths, x0", [("1000", "1e160"), ("1000", "1e100"), ("100000", "1e160")]
+)
+def test_verify_rounded_mean_of_identical_totals_passes(capsys, paths, x0):
     # One right above its threshold: every path exercises at once, so every
     # total is x0 - K.  numpy's mean of them rounds a few ulps off, far more
     # than the standard error of identical totals; z counts that rounding.
     code, out, _ = run_cli(
-        capsys, "verify", "--rights", "1", "--paths", "1000", "--x0", x0
+        capsys, "verify", "--rights", "1", "--paths", paths, "--x0", x0
     )
     report = json.loads(out)
     assert report["analytic"] == float(x0)

@@ -5,8 +5,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from mstop import powerfn
 from mstop.finite import _slope, delta, solve_ladder
@@ -69,7 +67,7 @@ def generator_apply(f: PiecewisePowerSum, model: GbmModel) -> PiecewisePowerSum:
                 out[k - 2] += cs[k] * 0.5 * s2 * k * (k - 1)
             m[p] = out
         polys.append(m)
-    return PiecewisePowerSum.from_polys(f.breakpoints, map(_trim, polys))
+    return PiecewisePowerSum.from_polys(f.breakpoints, polys)
 
 
 def has_log_terms(f: PiecewisePowerSum) -> bool:
@@ -219,6 +217,18 @@ def test_evaluate_many_matches_masked_reference(ladder60):
         assert_same_as_masked(f, x)
 
 
+def test_evaluate_many_across_lookup_blocks(ladder60):
+    # Over two blocks of the piece lookup, with every breakpoint and its two
+    # neighbours straddling the first block's end.
+    f = ladder60.h_funcs[-1]
+    n = powerfn._LOOKUP_BLOCK
+    bps = np.asarray(f.breakpoints)
+    seam = np.concatenate([bps, np.nextafter(bps, math.inf), np.nextafter(bps, 0.0)])
+    x = np.exp(np.random.default_rng(5).uniform(math.log(0.05), math.log(50.0), 2 * n + 9))
+    x[n - seam.size // 2 : n - seam.size // 2 + seam.size] = seam
+    assert_same_as_masked(f, x)
+
+
 def test_evaluate_many_shapes(ladder60):
     f = ladder60.values[9]
     x = np.geomspace(0.1, 30.0, 24)
@@ -292,17 +302,17 @@ def test_kernel_sums_terms_onto_positive_zero():
     assert_same_as_masked(f, np.array([1e-5, 2.0]))
 
 
-@settings(max_examples=60, deadline=None)
-@example(n_bp=300, max_log_power=20, seed=0)
-@given(
-    n_bp=st.integers(0, 300),
-    max_log_power=st.integers(0, 20),
-    seed=st.integers(0, 2**32 - 1),
+@pytest.mark.parametrize(
+    "n_bp, max_log_power, seed",
+    [(300, 20, 0), (0, 0, 1), *((None, None, seed) for seed in range(2, 62))],
 )
-def test_evaluate_many_matches_seed_kernel_property(n_bp, max_log_power, seed):
+def test_evaluate_many_matches_seed_kernel_random_sums(n_bp, max_log_power, seed):
     # Up to 301 pieces, so the piece index needs uint16; each piece is empty,
-    # log-free or carries log powers up to max_log_power.
+    # log-free or carries log powers up to max_log_power.  Sizes not given
+    # are drawn from the seed.
     rng = np.random.default_rng(seed)
+    if n_bp is None:
+        n_bp, max_log_power = int(rng.integers(0, 301)), int(rng.integers(0, 21))
     bps = np.unique(np.exp(rng.uniform(math.log(0.01), math.log(100.0), n_bp)))
     pieces = []
     for _ in range(bps.size + 1):
@@ -340,6 +350,16 @@ def test_evaluate_many_matches_seed_kernel_property(n_bp, max_log_power, seed):
         got = f.evaluate_many(x)
     assert got.tobytes() == masked_evaluate_many(f, x).tobytes()
     assert all(log_free == skipped for log_free, skipped in calls)
+
+
+def test_trim_rebuilds_only_what_it_drops(ladder60):
+    # Trimmed pieces come back as the same dict, so from_polys does not
+    # rebuild the pieces a threshold form takes over from H^i.
+    for f in (*ladder60.values, *ladder60.h_funcs):
+        assert all(_trim(poly) is poly for poly in f.polys)
+    poly = {0.0: [1.0, 0.0], 1.0: [1e-301], 2.0: [2.0]}
+    assert _trim(poly) == {0.0: [1.0], 2.0: [2.0]}
+    assert _trim(poly)[2.0] is poly[2.0]
 
 
 # -- combine ------------------------------------------------------------------
@@ -581,7 +601,7 @@ def reference_resolvent(
     for part, a, b in zip(parts, c_phi, reversed(c_psi)):
         _add_coef(part, mq, 0, a)
         _add_coef(part, pq, 0, b)
-    return PiecewisePowerSum.from_polys(f.breakpoints, map(_trim, parts))
+    return PiecewisePowerSum.from_polys(f.breakpoints, parts)
 
 
 def reference_delta(
