@@ -104,10 +104,7 @@ def _axpy(dst: Poly, src: Poly, scale: float) -> None:
 
 
 def _trim(poly: Poly) -> Poly:
-    """Drop negligible top log powers, and exponents left with none; poly
-    itself when there is nothing to drop."""
-    if all(cs and abs(cs[-1]) > COEF_DROP_TOL for cs in poly.values()):
-        return poly
+    """Drop negligible top log powers, and exponents left with none."""
     out: Poly = {}
     for p, cs in poly.items():
         n = len(cs)

@@ -281,16 +281,6 @@ def test_values_are_threshold_forms():
         assert v.polys[1:] == h.polys[j:]
 
 
-def test_threshold_form_keeps_pieces_and_trims_coefficient():
-    # f's pieces above the cut are taken as they are, not rebuilt; a
-    # coefficient c that is 0 (the payoff is 0 at cut = K/2) is dropped.
-    g = call_payoff(2.0)
-    for cut, c in ((1.0, None), (3.0, 1.0 / 9.0)):
-        v = finite.threshold_form(g, cut, 2.0)
-        assert v.polys[0] == ({} if c is None else {2.0: [c]})
-        assert v.polys[-1] is g.polys[-1]
-
-
 def test_benchmark_stage_assembly_is_threshold_form(ladder5):
     # The benchmark's stage-by-stage rebuild times V^i's assembly as a
     # combine of c*_i x^b below x*_i and H^i truncated there; that must be

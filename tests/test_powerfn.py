@@ -17,7 +17,6 @@ from mstop.powerfn import (
     PowerTerm,
     _add_coef,
     _axpy,
-    _trim,
     _value,
     call_payoff,
     combine,
@@ -350,16 +349,6 @@ def test_evaluate_many_matches_seed_kernel_random_sums(n_bp, max_log_power, seed
         got = f.evaluate_many(x)
     assert got.tobytes() == masked_evaluate_many(f, x).tobytes()
     assert all(log_free == skipped for log_free, skipped in calls)
-
-
-def test_trim_rebuilds_only_what_it_drops(ladder60):
-    # Trimmed pieces come back as the same dict, so from_polys does not
-    # rebuild the pieces a threshold form takes over from H^i.
-    for f in (*ladder60.values, *ladder60.h_funcs):
-        assert all(_trim(poly) is poly for poly in f.polys)
-    poly = {0.0: [1.0, 0.0], 1.0: [1e-301], 2.0: [2.0]}
-    assert _trim(poly) == {0.0: [1.0], 2.0: [2.0]}
-    assert _trim(poly)[2.0] is poly[2.0]
 
 
 # -- combine ------------------------------------------------------------------
