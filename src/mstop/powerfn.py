@@ -215,13 +215,14 @@ class PiecewisePowerSum:
         Each point's piece is the number of breakpoints below it: a block of
         points is compared with every breakpoint at once and the comparisons
         are summed, O(pieces x points) in a few numpy calls per block.  On
-        10^5 points this beats np.searchsorted, whose binary search over
-        unsorted points is branch-bound, at every piece count up to the 82
-        pieces of H^100; on a few hundred points, as in the quadrature
-        oracle, it costs up to about 10 us a call more.  A stable radix sort
-        of the piece indices groups the points, and each nonempty piece
-        gathers its own points, evaluates them in place and scatters the
-        values back; a piece without log terms skips the logs.
+        10^5 points this beat np.searchsorted, whose binary search over
+        unsorted points is branch-bound, at 6, 22 and 83 pieces (H^100 has
+        82); on 232 points, the quadrature oracle's mean call, it cost up to
+        about 10 us a call more, and at 301 pieces it lost at both sizes.
+        A stable radix sort of the piece indices groups the points, and
+        each nonempty piece gathers its own points, evaluates them in place
+        and scatters the values back; a piece without log terms skips the
+        logs.
         """
         # The only numpy use in the exact algebra: the solver runs on floats.
         import numpy as np

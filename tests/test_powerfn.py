@@ -223,7 +223,8 @@ def test_evaluate_many_across_lookup_blocks(ladder60):
     n = powerfn._LOOKUP_BLOCK
     bps = np.asarray(f.breakpoints)
     seam = np.concatenate([bps, np.nextafter(bps, math.inf), np.nextafter(bps, 0.0)])
-    x = np.exp(np.random.default_rng(5).uniform(math.log(0.05), math.log(50.0), 2 * n + 9))
+    rng = np.random.default_rng(5)
+    x = np.exp(rng.uniform(math.log(0.05), math.log(50.0), 2 * n + 9))
     x[n - seam.size // 2 : n - seam.size // 2 + seam.size] = seam
     assert_same_as_masked(f, x)
 
