@@ -23,13 +23,14 @@ it early, as `| head` does.
 
 Only curve, verify and --engine quadrature load numpy (and the modules that
 need it), inside the commands: solve and table run on the pure-Python
-algebra and start without it.
+algebra and start without it.  No command loads the standard library's data
+classes module (nor the inspect it imports): the package's records are named
+tuples.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -202,7 +203,7 @@ def cmd_solve(args: argparse.Namespace, model: GbmModel) -> int:
 
     report = {
         "model": _model_dict(model),
-        "exponents": dataclasses.asdict(exps),
+        "exponents": exps._asdict(),
         "x_hat_inf": inf_sol.x_hat_inf,
         "thresholds": list(ladder.thresholds),
         "deltas": list(ladder.deltas),

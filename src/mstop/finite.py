@@ -19,10 +19,10 @@ import math
 import sys
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import sub
 
-from mstop.model import Exponents, GbmModel, derive_exponents, require_valid
+from mstop.model import GbmModel, derive_exponents, require_valid
 from mstop.powerfn import (
     DivergenceError,
     PiecewisePowerSum,
@@ -41,23 +41,20 @@ NEWTON_MAX_ITER = 100
 BRACKET_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class ThresholdLadder:
+class ThresholdLadder(
+    namedtuple(
+        "ThresholdLadder",
+        "model exponents n thresholds c_stars values h_funcs deltas",
+    )
+):
     """Thresholds x*_1 > ... > x*_n with the associated value functions.
 
     thresholds[i-1] is the exercise boundary with i rights remaining;
     values[i-1] = V^i; h_funcs[i-1] = H^i; c_stars[i-1] = H^i(x*_i)/x*_i^b;
-    deltas[i-2] = Delta_{i-1} for i >= 2.
+    deltas[i-2] = Delta_{i-1} for i >= 2.  Each of the five is a tuple.
     """
 
-    model: GbmModel
-    exponents: Exponents
-    n: int
-    thresholds: tuple[float, ...]
-    c_stars: tuple[float, ...]
-    values: tuple[PiecewisePowerSum, ...]
-    h_funcs: tuple[PiecewisePowerSum, ...]
-    deltas: tuple[float, ...]
+    __slots__ = ()
 
 
 def perpetual_call_threshold(e: float, strike: float) -> float:

@@ -11,7 +11,7 @@ V_inf is c1 x + c2 + c3 x^a above x_hat and c4 x^b below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from mstop.finite import perpetual_call_threshold
 from mstop.model import Exponents, GbmModel, derive_exponents, require_valid
@@ -22,15 +22,12 @@ from mstop.powerfn import PiecewisePowerSum, PowerTerm, resolvent_apply
 COEFF_RECONCILE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class InfiniteSolution:
+class InfiniteSolution(
+    namedtuple("InfiniteSolution", "model exponents x_hat_inf sigma_density v_inf")
+):
     """Closed-form solution of the infinite-rights problem."""
 
-    model: GbmModel
-    exponents: Exponents
-    x_hat_inf: float
-    sigma_density: PiecewisePowerSum
-    v_inf: PiecewisePowerSum
+    __slots__ = ()
 
 
 def x_hat_infinite(model: GbmModel) -> float:

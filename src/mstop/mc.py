@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 import numpy.typing as npt
@@ -55,48 +55,44 @@ Draws = tuple[Array, ...]
 Variant = tuple[int, str, tuple[float, ...]]
 
 
-@dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(namedtuple("PolicySpec", "thresholds x0")):
     """Threshold policy: thresholds[i-1] is the exercise level with i rights
     remaining; exercise is immediate whenever the state is at or above it."""
 
-    thresholds: tuple[float, ...]
-    x0: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x0) and self.x0 > 0.0):
-            raise ValueError(f"x0 must be positive and finite, got {self.x0}")
-        if not self.thresholds or not all(
-            math.isfinite(t) and t > 0.0 for t in self.thresholds
-        ):
-            raise ValueError(f"thresholds must be positive and finite: {self.thresholds}")
+    def __new__(cls, thresholds: tuple[float, ...], x0: float) -> PolicySpec:
+        if not (math.isfinite(x0) and x0 > 0.0):
+            raise ValueError(f"x0 must be positive and finite, got {x0}")
+        if not thresholds or not all(math.isfinite(t) and t > 0.0 for t in thresholds):
+            raise ValueError(f"thresholds must be positive and finite: {thresholds}")
         # A first passage from x0 runs on ln(threshold / x0), which the
         # quotient's overflow would turn into NaN totals.
-        top = max(self.thresholds)
-        if math.isinf(top / self.x0):
+        top = max(thresholds)
+        if math.isinf(top / x0):
             raise ValueError(
                 f"x0 must be at least about {top / sys.float_info.max:.6g} (the "
                 f"largest threshold {top} over the largest float) for "
-                f"ln(threshold / x0) to be finite, got {self.x0}"
+                f"ln(threshold / x0) to be finite, got {x0}"
             )
+        return super().__new__(cls, thresholds, x0)
 
     @property
     def n_rights(self) -> int:
         return len(self.thresholds)
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    mean: float
-    std_err: float
-    n_paths: int
-    seed: int
+class McEstimate(namedtuple("McEstimate", "mean std_err n_paths seed")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_paths < 1:
+    def __new__(
+        cls, mean: float, std_err: float, n_paths: int, seed: int
+    ) -> McEstimate:
+        if n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if self.std_err < 0.0:
+        if std_err < 0.0:
             raise ValueError("std_err must be nonnegative")
+        return super().__new__(cls, mean, std_err, n_paths, seed)
 
 
 def require_perturbation(perturbation: float) -> None:

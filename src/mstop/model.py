@@ -9,22 +9,17 @@ characteristic quadratic theta(p) = sigma^2/2 * p*(p-1) + mu*p = q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class GbmModel:
+class GbmModel(namedtuple("GbmModel", "mu sigma r lam strike")):
     """Market/process parameters and the call strike.
 
     Rates are per unit time, sigma per sqrt unit time; time units are
     abstract.  `lam` is the refraction-period rate.
     """
 
-    mu: float
-    sigma: float
-    r: float
-    lam: float
-    strike: float
+    __slots__ = ()
 
     @property
     def net_drift(self) -> float:
@@ -32,22 +27,16 @@ class GbmModel:
         return self.mu - 0.5 * self.sigma * self.sigma
 
 
-@dataclass(frozen=True)
-class Exponents:
+class Exponents(
+    namedtuple("Exponents", "b a beta alpha kappa gamma wronskian_r wronskian_rl")
+):
     """Roots of theta(p) = q for q = r (b, a) and q = r + lam (beta, alpha).
 
     kappa = beta - b and gamma = s_{r+lam} + s_r satisfy
     kappa * gamma = 2 lam / sigma^2; wronskian_q = 2 s_q = beta_q - alpha_q.
     """
 
-    b: float
-    a: float
-    beta: float
-    alpha: float
-    kappa: float
-    gamma: float
-    wronskian_r: float
-    wronskian_rl: float
+    __slots__ = ()
 
 
 def validate(model: GbmModel, require_positive_net_drift: bool = False) -> list[str]:
@@ -81,7 +70,7 @@ def validate(model: GbmModel, require_positive_net_drift: bool = False) -> list[
     if require_positive_net_drift and not (model.net_drift > 0.0):
         errors.append(
             "mu - sigma^2/2 > 0 violated "
-            f"({model.mu} - {0.5 * model.sigma ** 2} = {model.net_drift})"
+            f"({model.mu} - {0.5 * model.sigma * model.sigma} = {model.net_drift})"
         )
     return errors
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -65,19 +65,17 @@ class DivergenceError(ValueError):
     """An operator integral diverges for the given input."""
 
 
-@dataclass(frozen=True)
-class PowerTerm:
+class PowerTerm(namedtuple("PowerTerm", "coef exponent log_power")):
     """A single term c * x^exponent * (ln x)^log_power."""
 
-    coef: float
-    exponent: float
-    log_power: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.coef) and math.isfinite(self.exponent)):
-            raise ValueError(f"non-finite term ({self.coef}, {self.exponent})")
-        if self.log_power < 0:
-            raise ValueError(f"log_power must be >= 0, got {self.log_power}")
+    def __new__(cls, coef: float, exponent: float, log_power: int = 0) -> PowerTerm:
+        if not (math.isfinite(coef) and math.isfinite(exponent)):
+            raise ValueError(f"non-finite term ({coef}, {exponent})")
+        if log_power < 0:
+            raise ValueError(f"log_power must be >= 0, got {log_power}")
+        return super().__new__(cls, coef, exponent, log_power)
 
 
 # -- log-polynomial helpers -----------------------------------------------------

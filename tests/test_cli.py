@@ -1,14 +1,21 @@
 import json
 import math
+import random
 import subprocess
 
 import numpy as np
 import pytest
 
-from mstop.cli import EXIT_BROKEN_PIPE, MAX_CURVE_VALUES, MAX_RIGHTS, main
+from mstop.cli import (
+    EXIT_BROKEN_PIPE,
+    MAX_CURVE_VALUES,
+    MAX_RIGHTS,
+    MODEL_PARAMS,
+    main,
+)
 from mstop.finite import solve_ladder
 from mstop.infinite import solve_infinite
-from mstop.mc import policy_dominance_scan
+from mstop.mc import McEstimate, policy_dominance_scan
 from mstop.powerfn import PiecewisePowerSum, call_payoff
 
 from conftest import ORACLE, PAPER_TABLE1, REF_MODEL, run_python
@@ -383,6 +390,24 @@ def test_verify_rounded_mean_of_identical_totals_passes(capsys, paths, x0):
     assert code == 0 and report["pass"] is True and abs(report["z_score"]) < 1.0
 
 
+def test_verify_rounding_term_sets_z(capsys, monkeypatch):
+    # No standard error and a mean 60 ulp above V^1(3.97) = 1.97: the
+    # rounding term (log2 n + 19) u mean alone scales the gap, to z = 2.10
+    # at 1000 paths.  A term built on log2 n + 1 would give z = 5.55, exit 4.
+    analytic = 3.97 - 2.0
+
+    def identical_totals(model, policy, n_paths, seed):
+        return McEstimate(analytic + 60 * math.ulp(analytic), 0.0, n_paths, seed)
+
+    monkeypatch.setattr("mstop.mc.simulate_policy", identical_totals)
+    code, out, _ = run_cli(
+        capsys, "verify", "--rights", "1", "--paths", "1000", "--x0", "3.97"
+    )
+    report = json.loads(out)
+    assert report["analytic"] == analytic and report["mc_std_err"] == 0.0
+    assert code == 0 and 2.05 < report["z_score"] < 2.15
+
+
 # -- curve --------------------------------------------------------------------
 
 
@@ -741,3 +766,57 @@ def test_closed_stdout_exits_quietly(argv):
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+# -- contract over edge inputs ------------------------------------------------
+
+# Values at the ends of the float range, signed zero, NaN and infinities, for
+# the model flags and --x0; grids and Monte Carlo flags in and out of range.
+EDGE_VALUES = (
+    "1e-300", "1e-100", "5e-324", "-0", "0.5", "2.5", "1e100", "1e300",
+    "nan", "inf", "-inf",
+)
+GRIDS = ("1:2:2", "0.5:10:4", "5e-324:1:3", "1e-300:1e300:5")
+BAD_GRIDS = (
+    "2:1:3", "0:1:3", "-1:2:3", "1:inf:3", "nan:2:3", "1:2:1", "1:2", "1:2:3:4",
+    "1:2:2.5", "a:b:c",
+)
+BAD_PATHS = ("999", "-1", str(10**16))
+PERTURBS = ("0.05", "0.2", "0", "-0.1", "0.3", "nan", "inf")
+
+
+def _contract_cases(count: int = 100, seed: int = 20) -> list[list[str]]:
+    # Each value is joined to its flag with '=', so argparse takes "-inf"
+    # as a value, not as a flag.
+    rng = random.Random(seed)
+    cases: dict[str, list[str]] = {}
+    while len(cases) < count:
+        command = rng.choice(("solve", "curve", "verify"))
+        argv = [command, "--rights=" + rng.choice("123")]
+        for name in rng.sample(sorted(MODEL_PARAMS), rng.randint(0, 2)):
+            argv.append(f"--{name}={rng.choice(EDGE_VALUES)}")
+        if command == "curve":
+            grids = BAD_GRIDS if rng.random() < 0.4 else GRIDS
+            argv.append("--grid=" + rng.choice(grids))
+        else:
+            argv.append("--x0=" + rng.choice(EDGE_VALUES))
+        if command == "verify":
+            paths = rng.choice(BAD_PATHS) if rng.random() < 0.3 else "1000"
+            argv.append("--paths=" + paths)
+            if rng.random() < 0.5:
+                argv.append("--perturb=" + rng.choice(PERTURBS))
+        cases[" ".join(argv)] = argv
+    return list(cases.values())
+
+
+@pytest.mark.parametrize("argv", _contract_cases(), ids=" ".join)
+def test_cli_contract_on_edge_inputs(capsys, argv):
+    # Every input either runs or is refused with a typed exit code and one
+    # JSON error object; nothing escapes as a traceback or a bare NaN.
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in out + err
+    assert "NaN" not in out
+    if code != 0:
+        error = json.loads(err)
+        assert isinstance(error, dict) and error["exit_code"] == code

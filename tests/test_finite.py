@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import subprocess
 import warnings
@@ -301,7 +300,7 @@ def with_stage(ladder, i, v=None, h=None):
         values[i - 1] = v
     if h is not None:
         h_funcs[i - 1] = h
-    return dataclasses.replace(ladder, values=tuple(values), h_funcs=tuple(h_funcs))
+    return ladder._replace(values=tuple(values), h_funcs=tuple(h_funcs))
 
 
 def with_piece(f, j, scale=1.0, nudge=False):

@@ -1,12 +1,14 @@
 """Guards on the whole package: the robustness sweep's failure counts, a
 package surface that holds only what the package and the benchmark use,
 every package name the benchmark imports, the exact solver's entry points
-running without numpy, the CLI reading its config without configparser and
-README naming the CLI's flags."""
+running without numpy, every command running without dataclasses, the CLI
+reading its config without configparser, the package's records and README
+naming the CLI's flags."""
 
 import argparse
 import ast
 import importlib
+import json
 import re
 import subprocess
 from collections import Counter
@@ -99,8 +101,20 @@ def test_benchmark_imports_exist():
     assert missing == []
 
 
+def _fresh_run(code: str, *argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `python -c code argv...`."""
+    proc = run_python(
+        code, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    out, err = proc.communicate(timeout=60)
+    return proc.returncode, out, err
+
+
+CLI_MAIN = "from mstop.cli import main; sys.exit(main())"
 # Makes numpy unimportable: any `import numpy` after it raises ImportError.
 BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
+# The same for dataclasses: the package's records are named tuples.
+BLOCK_DATACLASSES = "import sys; sys.modules['dataclasses'] = None; "
 
 
 @pytest.mark.parametrize(
@@ -117,15 +131,28 @@ def test_solve_and_table_run_without_numpy(capsys, argv):
     # The same bytes as a run in this process, which has numpy loaded.
     assert main(argv) == 0
     expected = capsys.readouterr().out
-    proc = run_python(
-        BLOCK_NUMPY + "from mstop.cli import main; sys.exit(main())",
-        *argv,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    out, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0, err
+    code, out, err = _fresh_run(BLOCK_NUMPY + CLI_MAIN, *argv)
+    assert code == 0, err
+    assert out == expected
+
+
+def test_package_imports_without_dataclasses():
+    code, out, err = _fresh_run(BLOCK_DATACLASSES + "import mstop")
+    assert code == 0, err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["table"], ["curve", "--grid", "1:2:2"], ["verify", "--paths", "1000"]],
+    ids=["solve", "table", "curve", "verify"],
+)
+def test_commands_run_without_dataclasses(capsys, argv):
+    # numpy, loaded by curve and verify, does not import dataclasses either.
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    code, out, err = _fresh_run(BLOCK_DATACLASSES + CLI_MAIN, *argv)
+    assert code == 0, err
     assert out == expected
 
 
@@ -139,28 +166,17 @@ def test_config_is_read_without_configparser(tmp_path, capsys):
     argv = ["solve", "--rights", "1", "--config", str(cfg)]
     assert main(argv) == 0
     expected = capsys.readouterr().out
-    proc = run_python(
-        BLOCK_CONFIGPARSER + "from mstop.cli import main; sys.exit(main())",
-        *argv,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    out, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0, err
+    code, out, err = _fresh_run(BLOCK_CONFIGPARSER + CLI_MAIN, *argv)
+    assert code == 0, err
     assert out == expected
 
 
 def test_package_solves_without_numpy():
-    proc = run_python(
+    code, out, err = _fresh_run(
         BLOCK_NUMPY + "import mstop; "
-        f"print(repr(mstop.solve_ladder(mstop.{REF_MODEL!r}, 60).thresholds[-1]))",
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
+        f"print(repr(mstop.solve_ladder(mstop.{REF_MODEL!r}, 60).thresholds[-1]))"
     )
-    out, err = proc.communicate(timeout=60)
-    assert proc.returncode == 0, err
+    assert code == 0, err
     assert float(out) == mstop.solve_ladder(REF_MODEL, 60).thresholds[-1]
 
 
@@ -175,6 +191,59 @@ def test_monte_carlo_names_load_on_first_use():
     assert set(mstop.__all__) <= namespace.keys()
     with pytest.raises(AttributeError, match="no_such_name"):
         mstop.no_such_name
+
+
+def _records():
+    from mstop.mc import McEstimate, PolicySpec
+
+    return [
+        REF_MODEL,
+        mstop.derive_exponents(REF_MODEL),
+        mstop.PowerTerm(1.0, 2.0),
+        mstop.solve_ladder(REF_MODEL, 2),
+        mstop.solve_infinite(REF_MODEL),
+        PolicySpec((3.0, 2.5), 2.0),
+        McEstimate(1.0, 0.5, 1000, 7),
+    ]
+
+
+def test_record_reprs_and_fields():
+    # The strings and field orders the records printed as frozen dataclasses.
+    model, exps, term, ladder, inf_sol, policy, est = _records()
+    assert repr(model) == "GbmModel(mu=0.008, sigma=0.125, r=0.05, lam=0.1, strike=2.0)"
+    assert repr(exps) == (
+        "Exponents(b=2.5178505884735567, a=-2.5418505884735567, "
+        "beta=4.369796891687246, alpha=-4.393796891687245, "
+        "kappa=1.8519463032136882, gamma=6.911647480160802, "
+        "wronskian_r=5.059701176947113, wronskian_rl=8.76359378337449)"
+    )
+    assert repr(term) == "PowerTerm(coef=1.0, exponent=2.0, log_power=0)"
+    assert repr(policy) == "PolicySpec(thresholds=(3.0, 2.5), x0=2.0)"
+    assert repr(est) == "McEstimate(mean=1.0, std_err=0.5, n_paths=1000, seed=7)"
+    for record, fields in (
+        (ladder, "model exponents n thresholds c_stars values h_funcs deltas"),
+        (inf_sol, "model exponents x_hat_inf sigma_density v_inf"),
+    ):
+        named = ", ".join(f"{f}={getattr(record, f)!r}" for f in fields.split())
+        assert repr(record) == f"{type(record).__name__}({named})"
+    assert term.log_power == 0 and mstop.PowerTerm(1.0, 2.0, 3).log_power == 3
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    # No instance dict either: a new attribute cannot be added.
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_solve_json_exponent_keys_keep_their_order(capsys):
+    assert main(["solve", "--rights", "1"]) == 0
+    exponents = json.loads(capsys.readouterr().out)["exponents"]
+    assert list(exponents) == [
+        "b", "a", "beta", "alpha", "kappa", "gamma", "wronskian_r", "wronskian_rl"
+    ]
 
 
 def test_readme_and_parser_name_the_same_flags():

@@ -151,8 +151,10 @@ def test_policy_validation():
     with pytest.raises(ValueError, match=r"at least about 1\.66\d*e-308"):
         PolicySpec(thresholds=(2.0, 3.0), x0=1e-308)
     assert PolicySpec(thresholds=(2.0, 3.0), x0=1.7e-308).x0 == 1.7e-308
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="std_err must be nonnegative"):
         McEstimate(mean=1.0, std_err=-0.1, n_paths=10, seed=0)
+    with pytest.raises(ValueError, match="n_paths must be >= 1"):
+        McEstimate(mean=1.0, std_err=0.1, n_paths=0, seed=0)
 
 
 @pytest.mark.parametrize(

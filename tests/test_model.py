@@ -29,6 +29,16 @@ def test_net_drift_check_only_when_flagged():
     assert len(errors) == 1 and "sigma^2/2" in errors[0]
 
 
+def test_net_drift_check_when_sigma_squared_overflows():
+    # sigma^2 = inf: the check reports the violation instead of raising
+    # OverflowError from sigma ** 2 in its message, which the CLI took for a
+    # solver failure (exit 3).
+    model = GbmModel(mu=0.008, sigma=1e300, r=0.05, lam=0.1, strike=2.0)
+    assert validate(model) == []
+    errors = validate(model, require_positive_net_drift=True)
+    assert errors == ["mu - sigma^2/2 > 0 violated (0.008 - inf = -inf)"]
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("sigma", -0.1), ("sigma", 0.0), ("r", 0.0), ("lam", -1.0), ("strike", 0.0)]

@@ -123,6 +123,19 @@ def test_constant_eval():
     assert f(7.0) == 1.0
 
 
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((math.nan, 1.0), "non-finite term"),
+        ((1.0, math.inf), "non-finite term"),
+        ((1.0, 2.0, -1), "log_power must be >= 0"),
+    ],
+)
+def test_power_term_validation(args, match):
+    with pytest.raises(ValueError, match=match):
+        PowerTerm(*args)
+
+
 def test_right_closed_boundary():
     f = PiecewisePowerSum(
         (2.0,), ((PowerTerm(1.0, 1.0),), (PowerTerm(2.0, 0.0),))
