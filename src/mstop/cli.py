@@ -36,7 +36,7 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from mstop.finite import solve_ladder
 from mstop.infinite import solve_infinite, x_hat_infinite
@@ -95,6 +95,14 @@ def _emit(output: str | None, *lines: str) -> None:
                 fh.writelines(parts)
         except OSError as exc:
             raise ValueError(f"cannot write output: {exc}") from exc
+
+
+def _report(args: argparse.Namespace, report: dict, lines: list[str]) -> None:
+    """Write `report` as indented JSON or, under --format text, `lines`."""
+    if args.format == "text":
+        _emit(args.output, *lines)
+    else:
+        _emit(args.output, json.dumps(report, indent=2))
 
 
 def _error(message: str, code: int) -> int:
@@ -210,22 +218,18 @@ def cmd_solve(args: argparse.Namespace, model: GbmModel) -> int:
         "values_at_x0": values,
         "v_inf_at_x0": v_inf_x0,
     }
-    if args.format == "text":
-        lines = [
-            f"model: mu={model.mu:.6f} sigma={model.sigma:.6f} r={model.r:.6f} "
-            f"lambda={model.lam:.6f} K={model.strike:.6f}",
-            f"exponents: b={exps.b:.6f} a={exps.a:.6f} beta={exps.beta:.6f} "
-            f"alpha={exps.alpha:.6f} kappa={exps.kappa:.6f} gamma={exps.gamma:.6f}",
-            f"x_hat_inf: {inf_sol.x_hat_inf:.6f}",
-            "thresholds: " + " ".join(f"{x:.6f}" for x in ladder.thresholds),
-            "deltas: " + " ".join(f"{d:.6f}" for d in ladder.deltas),
-            f"values at x0={args.x0:.6f}: "
-            + " ".join(f"{v:.6f}" for v in values),
-            f"v_inf at x0: {v_inf_x0:.6f}",
-        ]
-        _emit(args.output, *lines)
-    else:
-        _emit(args.output, json.dumps(report, indent=2))
+    lines = [
+        f"model: mu={model.mu:.6f} sigma={model.sigma:.6f} r={model.r:.6f} "
+        f"lambda={model.lam:.6f} K={model.strike:.6f}",
+        f"exponents: b={exps.b:.6f} a={exps.a:.6f} beta={exps.beta:.6f} "
+        f"alpha={exps.alpha:.6f} kappa={exps.kappa:.6f} gamma={exps.gamma:.6f}",
+        f"x_hat_inf: {inf_sol.x_hat_inf:.6f}",
+        "thresholds: " + " ".join(f"{x:.6f}" for x in ladder.thresholds),
+        "deltas: " + " ".join(f"{d:.6f}" for d in ladder.deltas),
+        f"values at x0={args.x0:.6f}: " + " ".join(f"{v:.6f}" for v in values),
+        f"v_inf at x0: {v_inf_x0:.6f}",
+    ]
+    _report(args, report, lines)
     return EXIT_OK
 
 
@@ -260,30 +264,27 @@ def cmd_table(args: argparse.Namespace, model: GbmModel) -> int:
     computed = list(ladder.thresholds)
     published = list(PAPER_TABLE1)
     diffs = [abs(c - p) for c, p in zip(computed, published)]
-    if args.format == "json":
-        report = {
-            "model": _model_dict(model),
-            "preset": "paper-table1",
-            "computed": computed,
-            "published": published,
-            "abs_diff": diffs,
-            "published_erratum": list(PAPER_TABLE1_ERRATUM),
-            "x_hat_inf": x_hat,
-        }
-        _emit(args.output, json.dumps(report, indent=2))
-    else:
-        head = "i         " + " ".join(f"{i:>10d}" for i in range(1, 6))
-        comp = "computed  " + " ".join(f"{v:10.6f}" for v in computed)
-        publ = "published " + " ".join(f"{v:10.6f}" for v in published)
-        diff = "abs diff  " + " ".join(f"{v:10.6f}" for v in diffs)
-        tail = f"x_hat_inf {x_hat:10.6f}"
-        note = (
-            "published rows "
-            + ", ".join(map(str, PAPER_TABLE1_ERRATUM))
-            + " are an erratum, not the solution of the recursion "
-            '(README, "Published table erratum")'
-        )
-        _emit(args.output, head, comp, publ, diff, tail, note)
+    report = {
+        "model": _model_dict(model),
+        "preset": "paper-table1",
+        "computed": computed,
+        "published": published,
+        "abs_diff": diffs,
+        "published_erratum": list(PAPER_TABLE1_ERRATUM),
+        "x_hat_inf": x_hat,
+    }
+    lines = [
+        "i         " + " ".join(f"{i:>10d}" for i in range(1, 6)),
+        "computed  " + " ".join(f"{v:10.6f}" for v in computed),
+        "published " + " ".join(f"{v:10.6f}" for v in published),
+        "abs diff  " + " ".join(f"{v:10.6f}" for v in diffs),
+        f"x_hat_inf {x_hat:10.6f}",
+        "published rows "
+        + ", ".join(map(str, PAPER_TABLE1_ERRATUM))
+        + " are an erratum, not the solution of the recursion "
+        '(README, "Published table erratum")',
+    ]
+    _report(args, report, lines)
     return EXIT_OK
 
 
@@ -337,23 +338,18 @@ def cmd_verify(args: argparse.Namespace, model: GbmModel) -> int:
         "z_score": z,
         "pass": passed,
     }
+    lines = [
+        f"analytic V^{args.rights}({args.x0:.6f}) = {analytic:.6f}",
+        f"mc = {mean:.6f} +- {std_err:.6f} ({args.paths} paths, seed {args.seed})",
+        f"z = {z:.6f} -> {'pass' if passed else 'FAIL'}",
+    ]
     if args.perturb is not None:
         report["dominance"] = dominance
-    if args.format == "text":
-        lines = [
-            f"analytic V^{args.rights}({args.x0:.6f}) = {analytic:.6f}",
-            f"mc = {mean:.6f} +- {std_err:.6f} ({args.paths} paths, "
-            f"seed {args.seed})",
-            f"z = {z:.6f} -> {'pass' if passed else 'FAIL'}",
-        ]
-        if args.perturb is not None:
-            lines.append(
-                f"dominance scan (+-{args.perturb:.6f}): "
-                + ("base dominates" if dominance["base_dominates"] else "VIOLATION")
-            )
-        _emit(args.output, *lines)
-    else:
-        _emit(args.output, json.dumps(report, indent=2))
+        lines.append(
+            f"dominance scan (+-{args.perturb:.6f}): "
+            + ("base dominates" if dominance["base_dominates"] else "VIOLATION")
+        )
+    _report(args, report, lines)
     # A perturbed policy beating the base fails the check as a bad z does.
     ok = passed and (args.perturb is None or dominance["base_dominates"])
     return EXIT_OK if ok else EXIT_VERIFY
@@ -414,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--config", default=argparse.SUPPRESS, help=config_help)
     for name, (_, help_text, _) in MODEL_PARAMS.items():
         model.add_argument(f"--{name}", type=float, help=help_text)
+    model.add_argument("--rights", type=int, default=5)
 
     def add_output(sub: argparse.ArgumentParser, formats: bool = True) -> None:
         if formats:
@@ -426,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", parents=[model], help="solve the threshold ladder"
     )
     add_output(p_solve)
-    p_solve.add_argument("--rights", type=int, default=5)
     p_solve.add_argument("--x0", type=float, default=2.0)
     p_solve.add_argument(
         "--engine", choices=("algebra", "quadrature"), default="algebra"
@@ -445,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p_verify)
     p_verify.add_argument("--paths", type=int, default=1_000_000)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--rights", type=int, default=5)
     p_verify.add_argument("--x0", type=float, default=2.0)
     p_verify.add_argument("--perturb", type=float, default=None)
     p_verify.set_defaults(func=cmd_verify)
@@ -454,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         "curve", parents=[model], help="export value-function curves (CSV)"
     )
     add_output(p_curve, formats=False)
-    p_curve.add_argument("--rights", type=int, default=5)
     p_curve.add_argument("--grid", required=True, help="lo:hi:points (log-spaced)")
     p_curve.set_defaults(func=cmd_curve)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from operator import sub
 
@@ -224,9 +224,12 @@ def solve_ladder(model: GbmModel, n: int) -> ThresholdLadder:
             thresholds.append(x_i)
             values.append(threshold_form(h_i, x_i, b))
             h_funcs.append(h_i)
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:
+        # A division by zero here is by a power or a difference that
+        # underflowed to 0, as x*_1^b does for a tiny strike.
+        kind = "overflow" if isinstance(exc, OverflowError) else "underflow"
         raise ArithmeticError(
-            f"float overflow in ladder stage {i}, which solves for x*_{i} "
+            f"float {kind} in ladder stage {i}, which solves for x*_{i} "
             f"and V^{i} ({exc})"
         ) from exc
 
@@ -245,21 +248,22 @@ def solve_ladder(model: GbmModel, n: int) -> ThresholdLadder:
     return ladder
 
 
-def _truncate_below(f: PiecewisePowerSum, cut: float) -> PiecewisePowerSum:
-    """f on (cut, inf), zero on (0, cut]; cut becomes the first breakpoint.
-    The benchmark's stage-by-stage rebuild of the ladder assembles V^i
-    from it."""
+def _truncate_below(
+    f: PiecewisePowerSum, cut: float, head: Poly | None = None
+) -> PiecewisePowerSum:
+    """f on (cut, inf) and `head` (zero by default) on (0, cut]; cut becomes
+    the first breakpoint.  The benchmark's stage-by-stage rebuild of the
+    ladder assembles V^i from it."""
     j = bisect_right(f.breakpoints, cut)
-    return PiecewisePowerSum.from_polys((cut, *f.breakpoints[j:]), ({}, *f.polys[j:]))
+    return PiecewisePowerSum.from_polys(
+        (cut, *f.breakpoints[j:]), (head or {}, *f.polys[j:])
+    )
 
 
 def threshold_form(f: PiecewisePowerSum, cut: float, e: float) -> PiecewisePowerSum:
     """c x^e on (0, cut] and f above, with c = f(cut) / cut^e so that the
     result is continuous at cut."""
-    j = bisect_right(f.breakpoints, cut)
-    return PiecewisePowerSum.from_polys(
-        (cut, *f.breakpoints[j:]), ({e: [f(cut) / cut**e]}, *f.polys[j:])
-    )
+    return _truncate_below(f, cut, {e: [f(cut) / cut**e]})
 
 
 def _assert_invariants(ladder: ThresholdLadder, x_hat: float) -> None:
@@ -321,17 +325,12 @@ def _assert_invariants(ladder: ThresholdLadder, x_hat: float) -> None:
 def _on_grid(
     f: PiecewisePowerSum, grid: list[float], logs: list[float], name: str
 ) -> list[float]:
-    """f at the points of the increasing `grid`, whose logs are `logs`, in one
-    pass over f's pieces; a value that overflows or is not finite raises
+    """f at the points of `grid`, whose logs are `logs`, each on the piece
+    f(x) takes; a value that overflows or is not finite raises
     ArithmeticError naming f as `name`."""
-    ends = [*(bisect_right(grid, x) for x in f.breakpoints), len(grid)]
-    vals: list[float] = []
-    start = 0
+    bps, terms = f.breakpoints, [poly.items() for poly in f.polys]
     try:
-        for poly, end in zip(f.polys, ends):
-            terms = poly.items()
-            vals += [_value(terms, grid[k], logs[k]) for k in range(start, end)]
-            start = end
+        vals = [_value(terms[bisect_left(bps, x)], x, lx) for x, lx in zip(grid, logs)]
     except OverflowError as exc:
         raise ArithmeticError(f"{name} overflows on the check grid ({exc})") from exc
     if not all(map(math.isfinite, vals)):

@@ -47,15 +47,9 @@ def validate(model: GbmModel, require_positive_net_drift: bool = False) -> list[
     but not by the infinite solver, hence the flag.
     """
     errors: list[str] = []
-    named = {
-        "mu": model.mu,
-        "sigma": model.sigma,
-        "r": model.r,
-        "lambda": model.lam,
-        "strike": model.strike,
-    }
-    for name, value in named.items():
+    for field, value in zip(model._fields, model):
         if not math.isfinite(value):
+            name = "lambda" if field == "lam" else field
             errors.append(f"{name} is not finite ({name}={value})")
     if not (model.sigma > 0.0):
         errors.append(f"sigma > 0 violated (sigma={model.sigma})")
@@ -63,6 +57,13 @@ def validate(model: GbmModel, require_positive_net_drift: bool = False) -> list[
         errors.append(f"r > 0 violated (r={model.r})")
     if not (model.lam > 0.0):
         errors.append(f"lambda > 0 violated (lambda={model.lam})")
+    # A tiny sigma makes sigma^2 underflow or mu/sigma^2 overflow; s_q is
+    # largest at q = r + lam, so its being finite keeps every exponent finite.
+    if not errors and not (
+        model.sigma * model.sigma > 0.0
+        and math.isfinite(_h_and_s(model, model.r + model.lam)[1])
+    ):
+        errors.append(f"sigma too small for finite exponents (sigma={model.sigma})")
     if not (model.strike > 0.0):
         errors.append(f"strike > 0 violated (strike={model.strike})")
     if not (model.mu < model.r):

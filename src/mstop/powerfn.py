@@ -37,11 +37,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable, Sequence
 
 from mstop.model import GbmModel, root_pair
 
+# Type checkers take this as true; at run time neither typing nor numpy loads.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
     import numpy.typing as npt

@@ -48,7 +48,7 @@ between the two is a meaningful check.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 import numpy as np
 import numpy.typing as npt

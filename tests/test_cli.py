@@ -115,6 +115,25 @@ def test_solve_overflow_names_stage_exit_3(capsys):
     assert "overflow in ladder stage 3" in error["error"] and error["exit_code"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv, code, word",
+    [
+        # sigma^2 underflows to 0.
+        (["--sigma=1e-300"], 2, "sigma"),
+        # sigma^2 is subnormal and mu/sigma^2 overflows, so b would be NaN.
+        (["--sigma=1e-160"], 2, "sigma"),
+        # x*_1^b underflows to 0 in V^1's coefficient H^1(x*_1) / x*_1^b.
+        (["--strike=1e-300", "--lambda=1e-100"], 3, "stage 1"),
+    ],
+    ids=["sigma_squared_underflows", "exponents_overflow", "x1_power_underflows"],
+)
+def test_float_edge_errors_name_their_cause(capsys, argv, code, word):
+    exit_code, out, err = run_cli(capsys, "solve", *argv)
+    assert exit_code == code and out == ""
+    error = json.loads(err)
+    assert word in error["error"] and error["exit_code"] == code
+
+
 # beta is about 1255 here, so x_hat^beta underflows to 0.
 TINY_X_HAT_POWER_MODEL = (
     "--mu=0.003534940877158942",

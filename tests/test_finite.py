@@ -293,6 +293,21 @@ def test_benchmark_stage_assembly_is_threshold_form(ladder5):
         assert assembled == finite.threshold_form(h, x_i, b)
 
 
+def test_point_on_a_breakpoint_takes_the_left_piece():
+    # Pieces are right-closed: f(x), evaluate_many and the ladder check's
+    # grid evaluation all give a breakpoint the value of the piece it closes.
+    # f jumps at both breakpoints, so the piece chosen shows in the value.
+    f = PiecewisePowerSum(
+        (2.0, 3.0),
+        ((PowerTerm(1.0, 0.0),), (PowerTerm(5.0, 0.0),), (PowerTerm(9.0, 1.0),)),
+    )
+    grid = [1.0, 2.0, 2.5, 3.0, 4.0]
+    expected = [1.0, 1.0, 5.0, 5.0, 36.0]
+    assert [f(x) for x in grid] == expected
+    assert f.evaluate_many(np.array(grid)).tolist() == expected
+    assert finite._on_grid(f, grid, [math.log(x) for x in grid], "f") == expected
+
+
 def with_stage(ladder, i, v=None, h=None):
     """The ladder with V^i and/or H^i replaced."""
     values, h_funcs = list(ladder.values), list(ladder.h_funcs)

@@ -1,9 +1,9 @@
 """Guards on the whole package: the robustness sweep's failure counts, a
 package surface that holds only what the package and the benchmark use,
 every package name the benchmark imports, the exact solver's entry points
-running without numpy, every command running without dataclasses, the CLI
-reading its config without configparser, the package's records and README
-naming the CLI's flags."""
+running without numpy, every command running without dataclasses, import,
+solve and table running without typing, the CLI reading its config without
+configparser, the package's records and README naming the CLI's flags."""
 
 import argparse
 import ast
@@ -152,6 +152,27 @@ def test_commands_run_without_dataclasses(capsys, argv):
     assert main(argv) == 0
     expected = capsys.readouterr().out
     code, out, err = _fresh_run(BLOCK_DATACLASSES + CLI_MAIN, *argv)
+    assert code == 0, err
+    assert out == expected
+
+
+# The same for typing: the package names its annotation types in strings or
+# takes them from collections.abc.  numpy imports typing itself, so curve and
+# verify are not run under this block.
+BLOCK_TYPING = "import sys; sys.modules['typing'] = None; "
+
+
+def test_package_imports_without_typing():
+    code, out, err = _fresh_run(BLOCK_TYPING + "import mstop")
+    assert code == 0, err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["table"]], ids=["solve", "table"])
+def test_solve_and_table_run_without_typing(capsys, argv):
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    code, out, err = _fresh_run(BLOCK_TYPING + CLI_MAIN, *argv)
     assert code == 0, err
     assert out == expected
 
