@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
 from operator import sub
 
-from mstop.model import GbmModel, derive_exponents, require_valid
+from mstop.model import Exponents, GbmModel, derive_exponents, require_valid
 from mstop.powerfn import (
     DivergenceError,
     PiecewisePowerSum,
@@ -75,21 +75,28 @@ def solve_single(
 
 
 def continuation_value(
-    model: GbmModel, v_prev: PiecewisePowerSum
+    model: GbmModel, v_prev: PiecewisePowerSum, g: PiecewisePowerSum | None = None
 ) -> PiecewisePowerSum:
-    """H^i = g + lam * R_{r+lam} V^{i-1} in the exact algebra."""
-    g = call_payoff(model.strike)
+    """H^i = g + lam * R_{r+lam} V^{i-1} in the exact algebra; g is the
+    payoff, built here unless passed."""
+    g = g or call_payoff(model.strike)
     return combine(g, resolvent_apply(v_prev, model.r + model.lam, model), 1.0, model.lam)
 
 
-def delta(model: GbmModel, h_prev: PiecewisePowerSum, x_star_prev: float) -> float:
+def delta(
+    model: GbmModel,
+    h_prev: PiecewisePowerSum,
+    x_star_prev: float,
+    exps: Exponents | None = None,
+) -> float:
     """Delta = (kappa gamma / (kappa + gamma)) *
-    int_{x*_prev}^inf y^{-kappa} d/dy(h_prev(y)/y^b) dy, in closed form.
+    int_{x*_prev}^inf y^{-kappa} d/dy(h_prev(y)/y^b) dy, in closed form;
+    `exps` are the model's exponents, derived here unless passed.
 
     The tail converges because the dominant term of h_prev grows linearly,
     so the integrand decays like y^{-kappa - b} = y^{-beta} with beta > 1.
     """
-    exps = derive_exponents(model)
+    exps = exps or derive_exponents(model)
     b, beta, kappa = exps.b, exps.beta, exps.kappa
     # The pieces above x*_prev, from x*_prev to the next breakpoint, ...,
     # from the last breakpoint to infinity; one log per breakpoint.  The
@@ -146,8 +153,11 @@ def delta(model: GbmModel, h_prev: PiecewisePowerSum, x_star_prev: float) -> flo
     return value
 
 
-def solve_threshold(model: GbmModel, delta_value: float) -> float:
-    """Unique root of f(x) = x - b(x - K) + Delta x^beta on (x_hat, x*_1].
+def solve_threshold(
+    model: GbmModel, delta_value: float, exps: Exponents | None = None
+) -> float:
+    """Unique root of f(x) = x - b(x - K) + Delta x^beta on (x_hat, x*_1];
+    `exps` are the model's exponents, derived here unless passed.
 
     With b > 1, beta > 1 and Delta < 0, f'(x) = 1 - b + Delta beta x^(beta-1)
     <= 1 - b < 0 and f''(x) = Delta beta (beta-1) x^(beta-2) < 0: f is
@@ -159,7 +169,7 @@ def solve_threshold(model: GbmModel, delta_value: float) -> float:
     """
     if delta_value > 0.0:
         raise ValueError(f"delta must be <= 0, got {delta_value}")
-    exps = derive_exponents(model)
+    exps = exps or derive_exponents(model)
     b, beta = exps.b, exps.beta
     k = model.strike
     x_hat = perpetual_call_threshold(beta, k)
@@ -201,25 +211,28 @@ def solve_threshold(model: GbmModel, delta_value: float) -> float:
 
 def solve_ladder(model: GbmModel, n: int) -> ThresholdLadder:
     """Full recursion for n >= 1 rights; all ladder invariants are asserted
-    before returning."""
+    before returning.  The exponents and the payoff g = H^1 are built once
+    and passed to every stage."""
     if n < 1:
         raise ValueError(f"number of rights must be >= 1, got {n}")
     require_valid(model, require_positive_net_drift=True)
     exps = derive_exponents(model)
     b = exps.b
+    g = call_payoff(model.strike)
     x_hat = perpetual_call_threshold(exps.beta, model.strike)
 
     i = 1
     try:
-        x1, v1, h1 = solve_single(model)
+        # Stage 1 is solve_single's perpetual call.
+        x1 = perpetual_call_threshold(b, model.strike)
         thresholds = [x1]
-        values = [v1]
-        h_funcs = [h1]
+        values = [threshold_form(g, x1, b)]
+        h_funcs = [g]
         deltas: list[float] = []
         for i in range(2, n + 1):
-            d = delta(model, h_funcs[-1], thresholds[-1])
-            h_i = continuation_value(model, values[-1])
-            x_i = solve_threshold(model, d)
+            d = delta(model, h_funcs[-1], thresholds[-1], exps)
+            h_i = continuation_value(model, values[-1], g)
+            x_i = solve_threshold(model, d, exps)
             deltas.append(d)
             thresholds.append(x_i)
             values.append(threshold_form(h_i, x_i, b))
@@ -244,7 +257,7 @@ def solve_ladder(model: GbmModel, n: int) -> ThresholdLadder:
         h_funcs=tuple(h_funcs),
         deltas=tuple(deltas),
     )
-    _assert_invariants(ladder, x_hat)
+    _assert_invariants(ladder, x_hat, g)
     return ladder
 
 
@@ -266,7 +279,11 @@ def threshold_form(f: PiecewisePowerSum, cut: float, e: float) -> PiecewisePower
     return _truncate_below(f, cut, {e: [f(cut) / cut**e]})
 
 
-def _assert_invariants(ladder: ThresholdLadder, x_hat: float) -> None:
+def _assert_invariants(
+    ladder: ThresholdLadder, x_hat: float, g: PiecewisePowerSum | None = None
+) -> None:
+    """Raise ArithmeticError where the ladder breaks an invariant; g is the
+    payoff, built here unless passed."""
     xs = ladder.thresholds
     for i in range(1, len(xs)):
         # Nonincreasing up to relative float noise: for tiny lam the whole
@@ -289,7 +306,7 @@ def _assert_invariants(ladder: ThresholdLadder, x_hat: float) -> None:
     log_lo, log_hi = math.log(lo), math.log(hi)
     logs = [log_lo + k * (log_hi - log_lo) / 100 for k in range(100)] + [log_hi]
     grid = [lo, *map(math.exp, logs[1:-1]), hi]
-    g_vals = _on_grid(call_payoff(ladder.model.strike), grid, logs, "g")
+    g_vals = _on_grid(g or call_payoff(ladder.model.strike), grid, logs, "g")
     prev_vals: list[float] | None = None
     for i, (v, h, x_i) in enumerate(
         zip(ladder.values, ladder.h_funcs, xs), start=1
@@ -325,12 +342,33 @@ def _assert_invariants(ladder: ThresholdLadder, x_hat: float) -> None:
 def _on_grid(
     f: PiecewisePowerSum, grid: list[float], logs: list[float], name: str
 ) -> list[float]:
-    """f at the points of `grid`, whose logs are `logs`, each on the piece
-    f(x) takes; a value that overflows or is not finite raises
-    ArithmeticError naming f as `name`."""
-    bps, terms = f.breakpoints, [poly.items() for poly in f.polys]
+    """f at the points of the increasing `grid`, whose logs are `logs`,
+    piece by piece: piece j takes the run of points in (bps[j-1], bps[j]],
+    the rule f(x) applies with bisect_left, and each term makes one pass
+    over the run.  The operations are f(x)'s in the same order, so a value
+    is f(x) bit for bit when its log is math.log(x).  A value that overflows
+    or is not finite raises ArithmeticError naming f as `name`."""
+    ends = [*(bisect_right(grid, bp) for bp in f.breakpoints), len(grid)]
+    vals: list[float] = []
     try:
-        vals = [_value(terms[bisect_left(bps, x)], x, lx) for x, lx in zip(grid, logs)]
+        for poly, end in zip(f.polys, ends):
+            start = len(vals)
+            if end == start:
+                continue
+            xs, lxs = grid[start:end], logs[start:end]
+            run = [0.0] * len(xs)
+            for p, cs in poly.items():
+                if len(cs) == 1:
+                    c = cs[0]
+                    run = [v + x**p * c for v, x in zip(run, xs)]
+                    continue
+                top, rest = cs[-1], cs[-2::-1]
+                for k, (x, lx) in enumerate(zip(xs, lxs)):
+                    acc = top
+                    for c in rest:
+                        acc = acc * lx + c
+                    run[k] += x**p * acc
+            vals += run
     except OverflowError as exc:
         raise ArithmeticError(f"{name} overflows on the check grid ({exc})") from exc
     if not all(map(math.isfinite, vals)):

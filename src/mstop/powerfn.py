@@ -24,6 +24,8 @@ arrays in place, so both run the same arithmetic.  Array evaluation counts
 the breakpoints below each point, a block of points at a time, to find its
 piece, groups the points by piece and touches only the pieces that hold
 points, with one kernel call each; a piece without log terms takes no logs.
+The ladder's check grid in finite runs its own piece-major loop with the
+same operations in the same order, pinned to f(x) by a test.
 The resolvent takes each term in one backward pass over its log
 coefficients: both antiderivative recurrences and Horner's rule run from
 the top log power down, so one loop yields the two antiderivatives, the

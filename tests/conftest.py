@@ -36,6 +36,8 @@ from mstop.powerfn import (
     resolvent_apply,
 )
 
+from robustness_sweep import draw_models
+
 # Reference configuration used throughout the published worked example.
 REF_MODEL = GbmModel(mu=0.008, sigma=0.125, r=0.05, lam=0.1, strike=2.0)
 
@@ -239,6 +241,22 @@ def random_valid_model(rng: np.random.Generator) -> GbmModel:
     lam = float(rng.uniform(0.02, 0.5))
     strike = float(rng.uniform(0.5, 5.0))
     return GbmModel(mu=mu, sigma=sigma, r=r, lam=lam, strike=strike)
+
+
+def sweep_ladders() -> list:
+    """Six-right ladders of the first five robustness-sweep models that
+    solve to six rights."""
+    ladders = []
+    for m in draw_models(np.random.default_rng(0), 100):
+        if len(ladders) == 5:
+            break
+        if not mstop.validate(m, require_positive_net_drift=True):
+            try:
+                ladders.append(mstop.solve_ladder(m, 6))
+            except ArithmeticError:
+                pass
+    assert len(ladders) == 5
+    return ladders
 
 
 def run_python(code: str, *argv: str, **popen) -> subprocess.Popen:

@@ -5,11 +5,13 @@ Draws 600 models with numpy.random.default_rng(0), each in the order
     r ~ 10^U(-3, 0), sigma ~ 10^U(-3, 0.3),
     mu = sigma^2/2 + (r - sigma^2/2) U, lambda ~ 10^U(-4, 2), K ~ 10^U(-2, 2),
 keeps those that validate(..., require_positive_net_drift=True) accepts, and
-runs solve_ladder(m, 6) and solve_infinite(m) on each.  Prints the kept and
-failed counts, the failures grouped by class, how many solved models
-raised a smooth-fit RuntimeWarning, and how many solved ladders (solve_infinite
-may still fail on them) miss the Delta cross-check below by more than 1e-12
-relative, with the worst one.  The cross-check is reported, not gated.
+runs solve_ladder(m, rights) and solve_infinite(m) on each, at 6 rights and
+then at 20.  Prints, for each depth, the kept and failed counts, the failures
+grouped by class, how many solved models raised a smooth-fit RuntimeWarning,
+how many solved ladders (solve_infinite may still fail on them) miss the
+Delta cross-check below by more than 1e-12 relative, with the worst one, and
+how many miss it by more than each of GAP_LEVELS.  tests/test_guards.py
+bounds the failure counts at both depths and the gaps above 1e-8 at 20.
 
 Delta cross-check: on (0, K], H^i is c x^b + C x^beta, so Delta_{i-1} also
 equals kappa C, read off the resolvent's homogeneous coefficient rather than
@@ -32,7 +34,9 @@ from mstop import GbmModel, solve_infinite, solve_ladder, validate
 
 DRAWS = 600
 RIGHTS = 6
+DEEP_RIGHTS = 20
 DELTA_RTOL = 1e-12
+GAP_LEVELS = (1e-12, 1e-8, 1e-6, 1e-4, 1e-2)
 
 
 def draw_models(rng: np.random.Generator, n: int) -> list[GbmModel]:
@@ -52,7 +56,8 @@ def failure_class(exc: Exception) -> str:
     stage = re.match(r"float overflow in ladder stage (\d+)", str(exc))
     if stage:
         return f"{type(exc).__name__}: overflow at stage {stage.group(1)}"
-    return type(exc).__name__
+    # The message with its numbers masked, so equal checks group together.
+    return f"{type(exc).__name__}: {re.sub(r'-?[0-9][0-9.e+-]*', 'N', str(exc))}"
 
 
 def delta_cross_check(ladder) -> tuple[float, int]:
@@ -80,7 +85,7 @@ class SweepReport:
     delta_gaps: list[tuple[float, int, GbmModel]] = field(default_factory=list)
 
 
-def run_sweep() -> SweepReport:
+def run_sweep(rights: int = RIGHTS) -> SweepReport:
     models = draw_models(np.random.default_rng(0), DRAWS)
     kept = [m for m in models if not validate(m, require_positive_net_drift=True)]
     report = SweepReport(kept)
@@ -89,7 +94,7 @@ def run_sweep() -> SweepReport:
             warnings.simplefilter("always", RuntimeWarning)
             call = "solve_ladder"
             try:
-                ladder = solve_ladder(m, RIGHTS)
+                ladder = solve_ladder(m, rights)
                 report.delta_gaps.append((*delta_cross_check(ladder), m))
                 call = "solve_infinite"
                 solve_infinite(m)
@@ -102,8 +107,7 @@ def run_sweep() -> SweepReport:
     return report
 
 
-def main() -> None:
-    report = run_sweep()
+def print_report(report: SweepReport) -> None:
     failures = Counter(failure_class(exc) for _, exc in report.failures)
     print(f"kept {len(report.kept)} of {DRAWS} draws")
     print(f"failed {len(report.failures)}")
@@ -121,6 +125,17 @@ def main() -> None:
             f"  worst {gap:.2e} at stage {stage}: mu={m.mu:.8g} sigma={m.sigma:.8g} "
             f"r={m.r:.8g} lam={m.lam:.8g} K={m.strike:.8g}"
         )
+    counts = [sum(g[0] > level for g in report.delta_gaps) for level in GAP_LEVELS]
+    print(
+        f"Delta cross-check gaps above {' / '.join(f'{x:g}' for x in GAP_LEVELS)}: "
+        f"{' / '.join(map(str, counts))}"
+    )
+
+
+def main() -> None:
+    print_report(run_sweep())
+    print(f"at {DEEP_RIGHTS} rights:")
+    print_report(run_sweep(DEEP_RIGHTS))
 
 
 if __name__ == "__main__":

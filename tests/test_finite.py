@@ -1,7 +1,8 @@
 import math
 import subprocess
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -18,7 +19,7 @@ from mstop.finite import (
 )
 from mstop.infinite import solve_infinite, x_hat_infinite
 from mstop.model import GbmModel, derive_exponents
-from mstop.powerfn import PiecewisePowerSum, PowerTerm, call_payoff, combine
+from mstop.powerfn import PiecewisePowerSum, PowerTerm, _value, call_payoff, combine
 
 from conftest import (
     ORACLE,
@@ -29,6 +30,7 @@ from conftest import (
     random_valid_model,
     ratio_derivative,
     run_python,
+    sweep_ladders,
     zero,
 )
 
@@ -205,6 +207,26 @@ def test_ladder_ordering(ladder5):
     assert xs[-1] > x_hat
 
 
+def test_ladder_derives_its_constants_once(monkeypatch):
+    # The exponents and the payoff are the same at every stage: a solve
+    # builds each once and passes it on.
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(finite, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return spy
+
+    for name in ("derive_exponents", "call_payoff"):
+        monkeypatch.setattr(finite, name, counted(name))
+    solve_ladder(REF_MODEL, 5)
+    assert calls == {"derive_exponents": 1, "call_payoff": 1}
+
+
 def test_ladder_rejects_no_rights():
     with pytest.raises(ValueError):
         solve_ladder(REF_MODEL, 0)
@@ -296,16 +318,50 @@ def test_benchmark_stage_assembly_is_threshold_form(ladder5):
 def test_point_on_a_breakpoint_takes_the_left_piece():
     # Pieces are right-closed: f(x), evaluate_many and the ladder check's
     # grid evaluation all give a breakpoint the value of the piece it closes.
-    # f jumps at both breakpoints, so the piece chosen shows in the value.
-    f = PiecewisePowerSum(
-        (2.0, 3.0),
-        ((PowerTerm(1.0, 0.0),), (PowerTerm(5.0, 0.0),), (PowerTerm(9.0, 1.0),)),
-    )
+    # f jumps at every breakpoint, so the piece chosen shows in the value.
+    # In the second case no grid point lies in (2.0, 2.2], a piece the
+    # check's walk skips.
     grid = [1.0, 2.0, 2.5, 3.0, 4.0]
     expected = [1.0, 1.0, 5.0, 5.0, 36.0]
-    assert [f(x) for x in grid] == expected
-    assert f.evaluate_many(np.array(grid)).tolist() == expected
-    assert finite._on_grid(f, grid, [math.log(x) for x in grid], "f") == expected
+    cases = [((2.0, 3.0), (1.0, 5.0)), ((2.0, 2.2, 3.0), (1.0, 3.0, 5.0))]
+    for breakpoints, levels in cases:
+        f = PiecewisePowerSum(
+            breakpoints,
+            (*((PowerTerm(c, 0.0),) for c in levels), (PowerTerm(9.0, 1.0),)),
+        )
+        assert [f(x) for x in grid] == expected
+        assert f.evaluate_many(np.array(grid)).tolist() == expected
+        assert finite._on_grid(f, grid, [math.log(x) for x in grid], "f") == expected
+
+
+def test_check_grid_values_are_pointwise_values(monkeypatch):
+    # The check evaluates each function piece by piece on its grid; every
+    # value must be the one the pointwise kernel gives, bit for bit: f(x)
+    # itself when the logs are math.log of the points, and f's piece at x on
+    # the check's own logs, which come from the log spacing and can differ
+    # from math.log(x) by an ulp.  V^i and H^i of the reference ladder at 20
+    # rights, and of the first five sweep models that solve to six rights.
+    on_grid, grids = finite._on_grid, []
+
+    def spy(f, grid, logs, name):
+        grids.append((grid, logs))
+        return on_grid(f, grid, logs, name)
+
+    monkeypatch.setattr(finite, "_on_grid", spy)
+    for ladder in [solve_ladder(REF_MODEL, 20), *sweep_ladders()]:
+        grids.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _assert_invariants(ladder, x_hat_infinite(ladder.model))
+        grid, logs = grids[0]
+        assert len(grid) == 101
+        exact_logs = [math.log(x) for x in grid]
+        for f in (*ladder.values, *ladder.h_funcs):
+            assert on_grid(f, grid, exact_logs, "f") == [f(x) for x in grid]
+            pieces = [f.polys[bisect_left(f.breakpoints, x)].items() for x in grid]
+            assert on_grid(f, grid, logs, "f") == [
+                _value(terms, x, lx) for terms, x, lx in zip(pieces, grid, logs)
+            ]
 
 
 def with_stage(ladder, i, v=None, h=None):

@@ -20,7 +20,7 @@ import mstop
 from mstop.cli import build_parser, main
 
 from conftest import REF_MODEL, run_python
-from robustness_sweep import run_sweep
+from robustness_sweep import DEEP_RIGHTS, run_sweep
 
 SRC = Path(mstop.__file__).resolve().parent
 BENCH = SRC.parents[1] / "bench"
@@ -37,6 +37,19 @@ def test_robustness_sweep_counts():
         assert call != "solve_infinite", exc
         assert isinstance(exc, ArithmeticError), exc
         assert str(exc).startswith("float overflow in ladder stage"), exc
+
+
+def test_robustness_sweep_counts_at_20_rights():
+    # The same draws at the depth where float error first shows: more
+    # failures, all typed, and Delta cross-check gaps that flag ladders whose
+    # thresholds are off.  A change may only lower either count.
+    report = run_sweep(DEEP_RIGHTS)
+    assert len(report.kept) == 441
+    assert len(report.failures) <= 210
+    assert sum(gap > 1e-8 for gap, _, _ in report.delta_gaps) <= 43
+    for call, exc in report.failures:
+        assert call != "solve_infinite", exc
+        assert isinstance(exc, ArithmeticError), exc
 
 
 def _mentions(node: ast.AST) -> list[str]:

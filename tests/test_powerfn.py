@@ -8,7 +8,7 @@ import pytest
 
 from mstop import powerfn
 from mstop.finite import _slope, delta, solve_ladder
-from mstop.model import GbmModel, derive_exponents, root_pair, validate
+from mstop.model import GbmModel, derive_exponents, root_pair
 from mstop.powerfn import (
     EXPONENT_MERGE_TOL,
     DivergenceError,
@@ -34,10 +34,10 @@ from conftest import (
     power_log_integral,
     random_power_sum,
     ratio_derivative,
+    sweep_ladders,
     theta,
     zero,
 )
-from robustness_sweep import draw_models
 
 RL = REF_MODEL.r + REF_MODEL.lam
 
@@ -699,17 +699,7 @@ def test_fused_resolvent_matches_two_pass_on_random_sums(q):
 def test_fused_delta_matches_two_pass():
     # H^1..H^20 of the reference ladder, and the ladders of the first five
     # sweep models that solve to six rights.
-    ladders = [solve_ladder(REF_MODEL, 21)]
-    for m in draw_models(np.random.default_rng(0), 100):
-        if len(ladders) == 6:
-            break
-        if not validate(m, require_positive_net_drift=True):
-            try:
-                ladders.append(solve_ladder(m, 6))
-            except ArithmeticError:
-                pass
-    assert len(ladders) == 6
-    for ladder in ladders:
+    for ladder in [solve_ladder(REF_MODEL, 21), *sweep_ladders()]:
         m = ladder.model
         for h, x in zip(ladder.h_funcs, ladder.thresholds):
             # Lower limits at x*_i itself and at each breakpoint of H^i, where
