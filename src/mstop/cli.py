@@ -21,11 +21,10 @@ codes: 0 ok, 2 bad input (an unwritable --output too), 3 solver failure, 4
 verification failure, 141 (128 + SIGPIPE) when the reader of stdout closed
 it early, as `| head` does.
 
-Only curve, verify and --engine quadrature load numpy (and the modules that
-need it), inside the commands: solve and table run on the pure-Python
-algebra and start without it.  No command loads the standard library's data
-classes module (nor the inspect it imports): the package's records are named
-tuples.
+Only curve and verify load numpy (and the modules that need it), inside the
+commands: solve and table run on the pure-Python algebra and start without
+it.  No command loads the standard library's dataclasses module (nor the
+inspect it imports): the package's records are named tuples.
 """
 
 from __future__ import annotations
@@ -199,16 +198,8 @@ def cmd_solve(args: argparse.Namespace, model: GbmModel) -> int:
     ladder = solve_ladder(model, args.rights)
     exps = ladder.exponents
     inf_sol = solve_infinite(model)
-
-    if args.engine == "quadrature":
-        from mstop.resolvent_numeric import quad_resolvent
-
-        values = _values_by_quadrature(model, ladder, args.x0)
-        v_inf_x0 = quad_resolvent(inf_sol.sigma_density, model.r, args.x0, model)
-    else:
-        values = [v(args.x0) for v in ladder.values]
-        v_inf_x0 = inf_sol.v_inf(args.x0)
-
+    values = [v(args.x0) for v in ladder.values]
+    v_inf_x0 = inf_sol.v_inf(args.x0)
     report = {
         "model": _model_dict(model),
         "exponents": exps._asdict(),
@@ -231,31 +222,6 @@ def cmd_solve(args: argparse.Namespace, model: GbmModel) -> int:
     ]
     _report(args, report, lines)
     return EXIT_OK
-
-
-def _values_by_quadrature(model: GbmModel, ladder, x0: float) -> list[float]:
-    """V^i(x0) with every resolvent evaluation done by quadrature."""
-    from mstop.resolvent_numeric import quad_resolvent
-
-    g = call_payoff(model.strike)
-    b = ladder.exponents.b
-    values: list[float] = []
-    for i, x_star in enumerate(ladder.thresholds, start=1):
-        v_prev = ladder.values[i - 2] if i >= 2 else None
-
-        def h_at(y: float) -> float:
-            base = g(y)
-            if v_prev is None:
-                return base
-            return base + model.lam * quad_resolvent(
-                v_prev, model.r + model.lam, y, model
-            )
-
-        if x0 > x_star:
-            values.append(h_at(x0))
-        else:
-            values.append(h_at(x_star) / x_star**b * x0**b)
-    return values
 
 
 def cmd_table(args: argparse.Namespace, model: GbmModel) -> int:
@@ -424,9 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_output(p_solve)
     p_solve.add_argument("--x0", type=float, default=2.0)
-    p_solve.add_argument(
-        "--engine", choices=("algebra", "quadrature"), default="algebra"
-    )
     p_solve.set_defaults(func=cmd_solve)
 
     p_table = subs.add_parser(

@@ -66,12 +66,10 @@ def perpetual_call_threshold(e: float, strike: float) -> float:
 def solve_single(
     model: GbmModel,
 ) -> tuple[float, PiecewisePowerSum, PiecewisePowerSum]:
-    """Base case: classical perpetual call. Returns (x*_1, V^1, H^1)."""
-    require_valid(model, require_positive_net_drift=True)
-    b = derive_exponents(model).b
-    x1 = perpetual_call_threshold(b, model.strike)
-    h1 = call_payoff(model.strike)
-    return x1, threshold_form(h1, x1, b), h1
+    """Base case: classical perpetual call. Returns (x*_1, V^1, H^1), the
+    first stage of solve_ladder."""
+    ladder = solve_ladder(model, 1)
+    return ladder.thresholds[0], ladder.values[0], ladder.h_funcs[0]
 
 
 def continuation_value(
@@ -223,7 +221,6 @@ def solve_ladder(model: GbmModel, n: int) -> ThresholdLadder:
 
     i = 1
     try:
-        # Stage 1 is solve_single's perpetual call.
         x1 = perpetual_call_threshold(b, model.strike)
         thresholds = [x1]
         values = [threshold_form(g, x1, b)]

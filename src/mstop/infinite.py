@@ -80,9 +80,15 @@ def solve_infinite(model: GbmModel) -> InfiniteSolution:
     exps = derive_exponents(model)
     x_hat = perpetual_call_threshold(exps.beta, model.strike)
     density = riesz_density(model, x_hat)
-    v_inf = resolvent_apply(density, model.r, model)
-
-    c1, c2, c3, c4 = _closed_form_coeffs(model, exps, x_hat)
+    try:
+        v_inf = resolvent_apply(density, model.r, model)
+        c1, c2, c3, c4 = _closed_form_coeffs(model, exps, x_hat)
+    except (OverflowError, ZeroDivisionError) as exc:
+        kind = "overflow" if isinstance(exc, OverflowError) else "underflow"
+        raise ArithmeticError(
+            f"float {kind} in the infinite-rights solve, which computes "
+            f"V_inf = R_r sigma ({exc})"
+        ) from exc
     expected = ({exps.b: c4}, {1.0: c1, 0.0: c2, exps.a: c3})
     for j, want_terms in enumerate(expected):
         poly = v_inf.polys[j]

@@ -44,7 +44,8 @@ def validate(model: GbmModel, require_positive_net_drift: bool = False) -> list[
 
     The net-drift requirement mu - sigma^2/2 > 0 is needed by the finite
     solver and the Monte Carlo module (first passage must be a.s. finite)
-    but not by the infinite solver, hence the flag.
+    but not by the infinite solver, hence the flag.  The flag also requires
+    the float exponent b to be above 1.
     """
     errors: list[str] = []
     for field, value in zip(model._fields, model):
@@ -73,6 +74,16 @@ def validate(model: GbmModel, require_positive_net_drift: bool = False) -> list[
             "mu - sigma^2/2 > 0 violated "
             f"({model.mu} - {0.5 * model.sigma * model.sigma} = {model.net_drift})"
         )
+    # The finite solver divides by b - 1 and beta - 1.  mu < r puts b above
+    # 1, but in floats h + s_r can cancel to 1 or below (a tiny sigma, or mu
+    # an ulp below r); beta >= b in floats as well.
+    if require_positive_net_drift and not errors:
+        h, s_r = _h_and_s(model, model.r)
+        if not h + s_r > 1.0:
+            errors.append(
+                f"mu, r and sigma give b = {h + s_r} in floats, not above 1 "
+                f"(mu={model.mu}, r={model.r}, sigma={model.sigma})"
+            )
     return errors
 
 

@@ -5,13 +5,14 @@ Draws 600 models with numpy.random.default_rng(0), each in the order
     r ~ 10^U(-3, 0), sigma ~ 10^U(-3, 0.3),
     mu = sigma^2/2 + (r - sigma^2/2) U, lambda ~ 10^U(-4, 2), K ~ 10^U(-2, 2),
 keeps those that validate(..., require_positive_net_drift=True) accepts, and
-runs solve_ladder(m, rights) and solve_infinite(m) on each, at 6 rights and
-then at 20.  Prints, for each depth, the kept and failed counts, the failures
-grouped by class, how many solved models raised a smooth-fit RuntimeWarning,
-how many solved ladders (solve_infinite may still fail on them) miss the
-Delta cross-check below by more than 1e-12 relative, with the worst one, and
-how many miss it by more than each of GAP_LEVELS.  tests/test_guards.py
-bounds the failure counts at both depths and the gaps above 1e-8 at 20.
+runs solve_ladder(m, rights) and solve_infinite(m) on each, at 6 rights,
+then at 20 and at the CLI's largest depth, 100.  Prints, for each depth, the
+kept and failed counts, the failures grouped by class, how many solved models
+raised a smooth-fit RuntimeWarning, how many solved ladders (solve_infinite
+may still fail on them) miss the Delta cross-check below by more than 1e-12
+relative, with the worst one, and how many miss it by more than each of
+GAP_LEVELS.  tests/test_guards.py bounds the failure counts at 6 and 20
+rights and the gaps above 1e-8 at 20; the 100-right block is a report only.
 
 Delta cross-check: on (0, K], H^i is c x^b + C x^beta, so Delta_{i-1} also
 equals kappa C, read off the resolvent's homogeneous coefficient rather than
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from mstop import GbmModel, solve_infinite, solve_ladder, validate
+from mstop.cli import MAX_RIGHTS
 
 DRAWS = 600
 RIGHTS = 6
@@ -134,8 +136,9 @@ def print_report(report: SweepReport) -> None:
 
 def main() -> None:
     print_report(run_sweep())
-    print(f"at {DEEP_RIGHTS} rights:")
-    print_report(run_sweep(DEEP_RIGHTS))
+    for rights in (DEEP_RIGHTS, MAX_RIGHTS):
+        print(f"at {rights} rights:")
+        print_report(run_sweep(rights))
 
 
 if __name__ == "__main__":

@@ -58,24 +58,6 @@ def test_solve_single_right_threshold(capsys):
     assert report["thresholds"] == [pytest.approx(ORACLE["x_star_1"], rel=1e-12)]
 
 
-def test_solve_engines_agree(capsys):
-    # x*_1 ~ 3.318 and x*_2 ~ 3.080: x0 = 2 is below both thresholds, where
-    # the quadrature engine scales H^i(x*_i), and x0 = 4 above both, where
-    # it evaluates H^i(x0).
-    for x0 in ("2", "4"):
-        code, out_a, _ = run_cli(capsys, "solve", "--rights", "2", "--x0", x0)
-        assert code == 0
-        code, out_q, _ = run_cli(
-            capsys, "solve", "--rights", "2", "--x0", x0, "--engine", "quadrature"
-        )
-        assert code == 0
-        alg = json.loads(out_a)
-        quad = json.loads(out_q)
-        for va, vq in zip(alg["values_at_x0"], quad["values_at_x0"]):
-            assert vq == pytest.approx(va, rel=1e-6)
-        assert quad["v_inf_at_x0"] == pytest.approx(alg["v_inf_at_x0"], rel=1e-6)
-
-
 def test_solve_invalid_model_exit_2(capsys):
     code, out, err = run_cli(capsys, "solve", "--mu", "0.2", "--rights", "2")
     assert code == 2
@@ -115,6 +97,17 @@ def test_solve_overflow_names_stage_exit_3(capsys):
     assert "overflow in ladder stage 3" in error["error"] and error["exit_code"] == 3
 
 
+# A robustness-sweep model whose ladder overflows at stage 2 and whose
+# infinite-rights solve overflows too, as 104 of the sweep's models do.
+V_INF_OVERFLOW_MODEL = (
+    "--mu=0.24029594496194667",
+    "--sigma=0.001021026585884343",
+    "--rate=0.28025970618041296",
+    "--lambda=0.00015904259448963075",
+    "--strike=8.291283895033407",
+)
+
+
 @pytest.mark.parametrize(
     "argv, code, word",
     [
@@ -124,8 +117,21 @@ def test_solve_overflow_names_stage_exit_3(capsys):
         (["--sigma=1e-160"], 2, "sigma"),
         # x*_1^b underflows to 0 in V^1's coefficient H^1(x*_1) / x*_1^b.
         (["--strike=1e-300", "--lambda=1e-100"], 3, "stage 1"),
+        # h + s_r cancels to 0: b is not above 1 in floats.
+        (["--sigma=1e-10"], 2, "mu, r and sigma"),
+        # mu an ulp below r: b rounds to 1.
+        (["--mu=0.049999999999999996"], 2, "mu, r and sigma"),
+        # The ladder solves at one right; R_r of the Riesz density overflows.
+        ([*V_INF_OVERFLOW_MODEL, "--rights=1"], 3, "infinite-rights"),
     ],
-    ids=["sigma_squared_underflows", "exponents_overflow", "x1_power_underflows"],
+    ids=[
+        "sigma_squared_underflows",
+        "exponents_overflow",
+        "x1_power_underflows",
+        "b_cancels_for_tiny_sigma",
+        "b_rounds_to_1",
+        "v_inf_overflows",
+    ],
 )
 def test_float_edge_errors_name_their_cause(capsys, argv, code, word):
     exit_code, out, err = run_cli(capsys, "solve", *argv)
@@ -595,6 +601,7 @@ def test_unwritable_output_exit_2(tmp_path, capsys):
         ("table", "--config", "mstop.ini"),
         ("table", "--preset", "paper-table1"),
         ("verify", "--workers", "2"),
+        ("solve", "--engine", "quadrature"),
     ],
 )
 def test_unused_flags_rejected_exit_2(capsys, argv):

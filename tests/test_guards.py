@@ -130,6 +130,10 @@ BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None; "
 BLOCK_DATACLASSES = "import sys; sys.modules['dataclasses'] = None; "
 
 
+# Stands for a config file path the test writes.
+CONFIG = "<config>"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -137,11 +141,20 @@ BLOCK_DATACLASSES = "import sys; sys.modules['dataclasses'] = None; "
         ["solve", "--rights", "5", "--x0", "2.5", "--format", "text"],
         ["table"],
         ["table", "--format", "text"],
+        # Every flag solve accepts.
+        [
+            "solve", "--config", CONFIG, "--mu", "0.009", "--sigma", "0.13",
+            "--rate", "0.06", "--lambda", "0.2", "--strike", "2.5",
+            "--rights", "3", "--x0", "2.5", "--format", "text", "--output", "-",
+        ],
     ],
-    ids=["solve_json", "solve_text", "table_json", "table_text"],
+    ids=["solve_json", "solve_text", "table_json", "table_text", "solve_every_flag"],
 )
-def test_solve_and_table_run_without_numpy(capsys, argv):
+def test_solve_and_table_run_without_numpy(capsys, tmp_path, argv):
     # The same bytes as a run in this process, which has numpy loaded.
+    cfg = tmp_path / "mstop.ini"
+    cfg.write_text("mu = 0.007\nstrike = 3\n")
+    argv = [str(cfg) if arg == CONFIG else arg for arg in argv]
     assert main(argv) == 0
     expected = capsys.readouterr().out
     code, out, err = _fresh_run(BLOCK_NUMPY + CLI_MAIN, *argv)

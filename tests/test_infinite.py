@@ -34,6 +34,21 @@ def test_auxiliary_rejects_zero_strike():
         solve_infinite(GbmModel(mu=0.008, sigma=0.125, r=0.05, lam=0.1, strike=0.0))
 
 
+def test_overflow_is_a_typed_error():
+    # A robustness-sweep model: R_r of the Riesz density overflows a float.
+    model = GbmModel(
+        mu=0.24029594496194667,
+        sigma=0.001021026585884343,
+        r=0.28025970618041296,
+        lam=0.00015904259448963075,
+        strike=8.291283895033407,
+    )
+    with pytest.raises(ArithmeticError, match="infinite-rights solve") as exc:
+        solve_infinite(model)
+    assert type(exc.value) is ArithmeticError
+    assert isinstance(exc.value.__cause__, OverflowError)
+
+
 def test_riesz_density_values():
     x_hat = x_hat_infinite(REF_MODEL)
     density = riesz_density(REF_MODEL, x_hat)

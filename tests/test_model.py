@@ -40,6 +40,21 @@ def test_net_drift_check_when_sigma_squared_overflows():
 
 
 @pytest.mark.parametrize(
+    "change",
+    [{"sigma": 1e-10}, {"sigma": 1e-30}, {"sigma": 1e-60}, {"sigma": 1e-77}]
+    + [{"mu": 0.049999999999999996}],
+    ids=["sigma=1e-10", "sigma=1e-30", "sigma=1e-60", "sigma=1e-77", "mu_ulp_below_r"],
+)
+def test_float_b_not_above_1_rejected_with_net_drift(change):
+    # mu < r puts b above 1, but h + s_r cancels to 0 for a tiny sigma and
+    # rounds to 1 for mu an ulp below r; the finite solver divides by b - 1.
+    model = REF_MODEL._replace(**change)
+    assert validate(model) == []
+    errors = validate(model, require_positive_net_drift=True)
+    assert len(errors) == 1 and errors[0].startswith("mu, r and sigma give b = ")
+
+
+@pytest.mark.parametrize(
     "field,value",
     [("sigma", -0.1), ("sigma", 0.0), ("r", 0.0), ("lam", -1.0), ("strike", 0.0)]
     + [

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mstop.finite import solve_single
-from mstop.powerfn import resolvent_apply
+from mstop.finite import solve_ladder, solve_single
+from mstop.infinite import solve_infinite
+from mstop.powerfn import call_payoff, resolvent_apply
 from mstop.resolvent_numeric import (
     _ERR_WEIGHTS,
     _NODES,
@@ -45,6 +46,33 @@ def test_oracle_equivalence_on_v1():
     for x in (1.0, ORACLE["x_star_1"], 5.0):
         got = quad_resolvent(v1, RL, x, REF_MODEL)
         assert got == pytest.approx(rv(x), rel=1e-7)
+
+
+def test_values_and_v_inf_by_quadrature():
+    # V^i(x0) with H^i = g + lam R_{r+lam} V^{i-1} by quadrature, and
+    # V_inf = R_r sigma by quadrature on the Riesz density.  x*_1 ~ 3.318 and
+    # x*_2 ~ 3.080: x0 = 2 is below both thresholds, where V^i scales
+    # H^i(x*_i) by (x0 / x*_i)^b, and x0 = 4 above both, where V^i = H^i.
+    ladder = solve_ladder(REF_MODEL, 2)
+    inf_sol = solve_infinite(REF_MODEL)
+    g = call_payoff(REF_MODEL.strike)
+    b = ladder.exponents.b
+
+    def h_by_quad(i, y):
+        if i == 1:
+            return g(y)
+        v_prev = ladder.values[i - 2]
+        return g(y) + REF_MODEL.lam * quad_resolvent(v_prev, RL, y, REF_MODEL)
+
+    for x0 in (2.0, 4.0):
+        for i, (v, x_star) in enumerate(zip(ladder.values, ladder.thresholds), 1):
+            if x0 > x_star:
+                quad = h_by_quad(i, x0)
+            else:
+                quad = h_by_quad(i, x_star) / x_star**b * x0**b
+            assert quad == pytest.approx(v(x0), rel=1e-6)
+        quad = quad_resolvent(inf_sol.sigma_density, REF_MODEL.r, x0, REF_MODEL)
+        assert quad == pytest.approx(inf_sol.v_inf(x0), rel=1e-6)
 
 
 def test_oracle_equivalence_random_inputs():
