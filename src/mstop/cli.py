@@ -35,7 +35,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from mstop.finite import solve_ladder
 from mstop.infinite import solve_infinite, x_hat_infinite
@@ -66,10 +66,12 @@ PAPER_TABLE1_ERRATUM = (3, 4, 5)
 MAX_RIGHTS = 100
 
 # Largest CSV `curve` writes, in values: points times the rights + 3 columns.
-# Its peak RSS grows by about 55 bytes per value (README's 200 000-point,
-# 3-right example: 98 MB for 1.2 M values); a curve at the cap peaks at
-# 0.30-0.32 GB for 1 to 100 rights.
+# Its peak RSS grows by about 15 bytes per value (README's 200 000-point,
+# 3-right example: 46 MB for 1.2 M values); a curve at the cap peaks at
+# 77-95 MB for 1 to 100 rights.
 MAX_CURVE_VALUES = 5_000_000
+# Values `curve` formats into one block of text before writing it.
+_CURVE_CHUNK_VALUES = 1 << 16
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -81,11 +83,11 @@ EXIT_BROKEN_PIPE = 141
 # -- serialization ------------------------------------------------------------
 
 
-def _emit(output: str | None, *lines: str) -> None:
+def _emit(output: str | None, lines: Iterable[str]) -> None:
     """Write each of `lines` and a newline to stdout or, the same bytes, to
-    `output`.  The lines are written one after another, not joined, so a
-    large curve is not copied once more."""
-    parts = [part for line in lines for part in (line, "\n")]
+    `output`.  The lines are written as they come, not joined, so a
+    generator's lines are never all held at once."""
+    parts = (part for line in lines for part in (line, "\n"))
     if output is None or output == "-":
         sys.stdout.writelines(parts)
     else:
@@ -99,9 +101,9 @@ def _emit(output: str | None, *lines: str) -> None:
 def _report(args: argparse.Namespace, report: dict, lines: list[str]) -> None:
     """Write `report` as indented JSON or, under --format text, `lines`."""
     if args.format == "text":
-        _emit(args.output, *lines)
+        _emit(args.output, lines)
     else:
-        _emit(args.output, json.dumps(report, indent=2))
+        _emit(args.output, [json.dumps(report, indent=2)])
 
 
 def _error(message: str, code: int) -> int:
@@ -344,15 +346,25 @@ def cmd_curve(args: argparse.Namespace, model: GbmModel) -> int:
     columns = [grid, g.evaluate_many(grid)]
     columns += [v.evaluate_many(grid) for v in ladder.values]
     columns.append(inf_sol.v_inf.evaluate_many(grid))
-    # One % per row.  %.17g spells a finite float with digits, '.', '+', '-'
-    # and 'e' only, so the inf and nan tokens of the body are the non-finite
-    # values; they are respelled before the header, whose Vinf holds "inf".
-    row = ",".join(["%.17g"] * len(columns))
-    body = "\n".join([row % values for values in zip(*columns)])
-    body = body.replace("inf", "Infinity").replace("nan", "NaN")
     header = "x,g," + ",".join(f"V{i}" for i in range(1, args.rights + 1)) + ",Vinf"
-    _emit(args.output, header, body)
+    _emit(args.output, _csv_lines(header, columns))
     return EXIT_OK
+
+
+def _csv_lines(header: str, columns: list) -> Iterable[str]:
+    """`header`, then the CSV rows of the arrays `columns`: one block of
+    about _CURVE_CHUNK_VALUES values at a time, its rows joined by newlines,
+    so the text of only one block is held at once."""
+    # One % per row.  %.17g spells a finite float with digits, '.', '+', '-'
+    # and 'e' only, so the inf and nan tokens of a block are its non-finite
+    # values.
+    yield header
+    row = ",".join(["%.17g"] * len(columns))
+    step = max(1, _CURVE_CHUNK_VALUES // len(columns))
+    for s in range(0, columns[0].size, step):
+        rows = zip(*[c[s : s + step].tolist() for c in columns])
+        block = "\n".join([row % values for values in rows])
+        yield block.replace("inf", "Infinity").replace("nan", "NaN")
 
 
 # -- argument parsing ---------------------------------------------------------

@@ -78,6 +78,13 @@ def solve_infinite(model: GbmModel) -> InfiniteSolution:
     making each path a regression oracle for the other.
     """
     exps = derive_exponents(model)
+    # mu < r puts beta above 1, but in floats a huge sigma rounds it to 1
+    # and a tiny one cancels it to 0.
+    if not exps.beta > 1.0:
+        raise ArithmeticError(
+            f"beta = {exps.beta} in floats is not above 1, so x_hat_inf = "
+            f"beta K / (beta - 1) is undefined or not positive (sigma={model.sigma})"
+        )
     x_hat = perpetual_call_threshold(exps.beta, model.strike)
     density = riesz_density(model, x_hat)
     try:

@@ -209,6 +209,34 @@ def verification_slack(
     return v.evaluate_many(grid) - continuation_value(model, v).evaluate_many(grid)
 
 
+def seed_value(terms, x, lx):
+    """_value as it was before the in-place kernel, frozen as the reference
+    arithmetic: Horner from 0.0 as acc * lx + c, each term added onto 0.0 as
+    acc * x**p."""
+    total = 0.0
+    for p, cs in terms:
+        acc = 0.0
+        for c in reversed(cs):
+            acc = acc * lx + c
+        total += acc * x**p
+    return total
+
+
+def masked_evaluate_many(f: PiecewisePowerSum, x) -> np.ndarray:
+    """Reference evaluation: searchsorted, one boolean mask per piece over
+    the whole array and the frozen seed kernel, as evaluate_many did before
+    it grouped the points by piece."""
+    x = np.asarray(x, dtype=float)
+    idx = np.searchsorted(np.asarray(f.breakpoints), x, side="left")
+    out = np.zeros_like(x)
+    lx = np.log(x)
+    for j, poly in enumerate(f.polys):
+        mask = idx == j
+        if poly and np.any(mask):
+            out[mask] = seed_value(poly.items(), x[mask], lx[mask])
+    return out
+
+
 def random_power_sum(
     rng: np.random.Generator,
     max_breakpoints: int = 3,

@@ -11,8 +11,12 @@ kept and failed counts, the failures grouped by class, how many solved models
 raised a smooth-fit RuntimeWarning, how many solved ladders (solve_infinite
 may still fail on them) miss the Delta cross-check below by more than 1e-12
 relative, with the worst one, and how many miss it by more than each of
-GAP_LEVELS.  tests/test_guards.py bounds the failure counts at 6 and 20
-rights and the gaps above 1e-8 at 20; the 100-right block is a report only.
+GAP_LEVELS.  After the 6-right block it prints how many values of every
+V^i and H^i of the 6-right ladders, on a seeded log grid from 0.01 K to
+100 x*_1, evaluate_many computed and how many differ in any byte from the
+masked reference in conftest (expected 0).  tests/test_guards.py bounds the
+failure counts at 6 and 20 rights and the gaps above 1e-8 at 20; the
+100-right block and the evaluation line are a report only.
 
 Delta cross-check: on (0, K], H^i is c x^b + C x^beta, so Delta_{i-1} also
 equals kappa C, read off the resolvent's homogeneous coefficient rather than
@@ -39,6 +43,7 @@ RIGHTS = 6
 DEEP_RIGHTS = 20
 DELTA_RTOL = 1e-12
 GAP_LEVELS = (1e-12, 1e-8, 1e-6, 1e-4, 1e-2)
+EVAL_POINTS = 1000
 
 
 def draw_models(rng: np.random.Generator, n: int) -> list[GbmModel]:
@@ -134,8 +139,39 @@ def print_report(report: SweepReport) -> None:
     )
 
 
+def evaluation_check(models: list[GbmModel]) -> tuple[int, int]:
+    """Values checked and values whose bytes differ from the masked
+    reference, over every V^i and H^i of the 6-right ladders that solve."""
+    # conftest imports this module, so it is imported once both are loaded.
+    from conftest import masked_evaluate_many
+
+    checked = mismatched = 0
+    for m in models:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                ladder = solve_ladder(m, RIGHTS)
+            except Exception:  # noqa: BLE001 - counted by run_sweep
+                continue
+        lo, hi = np.log(0.01 * m.strike), np.log(100.0 * ladder.thresholds[0])
+        grid = np.exp(np.random.default_rng(0).uniform(lo, hi, EVAL_POINTS))
+        for f in (*ladder.values, *ladder.h_funcs):
+            with np.errstate(all="ignore"):
+                got, want = f.evaluate_many(grid), masked_evaluate_many(f, grid)
+            checked += grid.size
+            diff = got.view(np.uint64) != want.view(np.uint64)
+            mismatched += int(np.count_nonzero(diff))
+    return checked, mismatched
+
+
 def main() -> None:
-    print_report(run_sweep())
+    report = run_sweep()
+    print_report(report)
+    checked, mismatched = evaluation_check(report.kept)
+    print(
+        f"evaluate_many against the masked reference at {RIGHTS} rights: "
+        f"{checked} values checked, {mismatched} mismatched"
+    )
     for rights in (DEEP_RIGHTS, MAX_RIGHTS):
         print(f"at {rights} rights:")
         print_report(run_sweep(rights))

@@ -527,6 +527,23 @@ def test_curve_non_finite_and_signed_zero_bytes(capsys, monkeypatch):
     ]
 
 
+def test_curve_chunks_join_to_the_same_bytes(capsys, monkeypatch):
+    # Blocks of 2 rows (10 values over 5 columns): non-finite values end one
+    # block and start the next, and the last block holds one row.
+    ladder, inf_sol = solve_ladder(REF_MODEL, 2), solve_infinite(REF_MODEL)
+    monkeypatch.setattr("mstop.cli.solve_ladder", lambda *_: ladder)
+    monkeypatch.setattr("mstop.cli.solve_infinite", lambda *_: inf_sol)
+    monkeypatch.setattr("mstop.cli._CURVE_CHUNK_VALUES", 10)
+    specials = np.array([0.5, math.inf, math.nan, -0.0, -math.inf, math.nan, 2.0])
+    monkeypatch.setattr(PiecewisePowerSum, "evaluate_many", lambda self, x: specials)
+    code, out, _ = run_cli(capsys, "curve", "--rights", "2", "--grid", "1:5:7")
+    assert code == 0
+    assert out == _reference_csv(2, [np.geomspace(1.0, 5.0, 7)] + [specials] * 4)
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == [
+        "0.5", "Infinity", "NaN", "-0", "-Infinity", "NaN", "2"
+    ]
+
+
 def test_curve_point_cap_exit_2_before_allocating(capsys, monkeypatch):
     def no_work(*_):
         raise AssertionError("worked before checking the point count")

@@ -49,6 +49,22 @@ def test_overflow_is_a_typed_error():
     assert isinstance(exc.value.__cause__, OverflowError)
 
 
+@pytest.mark.parametrize("sigma, beta", [(1e300, "1.0"), (1e-10, "0.0")])
+def test_degenerate_beta_is_a_typed_error(sigma, beta):
+    # validate without the net-drift flag accepts both models, but float
+    # beta is not above 1: x_hat_inf would divide by zero or be -0.0.
+    with pytest.raises(ArithmeticError, match=f"beta = {beta} .* x_hat_inf") as exc:
+        solve_infinite(REF_MODEL._replace(sigma=sigma))
+    assert type(exc.value) is ArithmeticError
+
+
+def test_beta_barely_above_one_still_fails_reconciliation():
+    # sigma = 1e5 leaves beta = 1 + 3e-11: x_hat_inf is finite, and the
+    # resolvent and the closed form part at the 6th digit.
+    with pytest.raises(ArithmeticError, match="disagrees with closed form"):
+        solve_infinite(REF_MODEL._replace(sigma=1e5))
+
+
 def test_riesz_density_values():
     x_hat = x_hat_infinite(REF_MODEL)
     density = riesz_density(REF_MODEL, x_hat)

@@ -30,10 +30,12 @@ from conftest import (
     antiderivative,
     constant,
     is_zero,
+    masked_evaluate_many,
     monomial,
     power_log_integral,
     random_power_sum,
     ratio_derivative,
+    seed_value,
     sweep_ladders,
     theta,
     zero,
@@ -71,34 +73,6 @@ def generator_apply(f: PiecewisePowerSum, model: GbmModel) -> PiecewisePowerSum:
 
 def has_log_terms(f: PiecewisePowerSum) -> bool:
     return any(len(cs) > 1 for poly in f.polys for cs in poly.values())
-
-
-def seed_value(terms, x, lx):
-    """_value as it was before the in-place kernel, frozen as the reference
-    arithmetic: Horner from 0.0 as acc * lx + c, each term added onto 0.0 as
-    acc * x**p."""
-    total = 0.0
-    for p, cs in terms:
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * lx + c
-        total += acc * x**p
-    return total
-
-
-def masked_evaluate_many(f: PiecewisePowerSum, x) -> np.ndarray:
-    """Reference evaluation: searchsorted, one boolean mask per piece over
-    the whole array and the frozen seed kernel, as evaluate_many did before
-    it grouped the points by piece."""
-    x = np.asarray(x, dtype=float)
-    idx = np.searchsorted(np.asarray(f.breakpoints), x, side="left")
-    out = np.zeros_like(x)
-    lx = np.log(x)
-    for j, poly in enumerate(f.polys):
-        mask = idx == j
-        if poly and np.any(mask):
-            out[mask] = seed_value(poly.items(), x[mask], lx[mask])
-    return out
 
 
 def from_json_dict(data: dict) -> PiecewisePowerSum:
@@ -230,16 +204,18 @@ def test_evaluate_many_matches_masked_reference(ladder60):
 
 
 def test_evaluate_many_across_lookup_blocks(ladder60):
-    # Over two blocks of the piece lookup, with every breakpoint and its two
-    # neighbours straddling the first block's end.
+    # Only points inside (bps[0], bps[-1]] are looked up: over two blocks of
+    # them, with every breakpoint and its two neighbours straddling the first
+    # block's end, then points of the first and the last piece.
     f = ladder60.h_funcs[-1]
     n = powerfn._LOOKUP_BLOCK
     bps = np.asarray(f.breakpoints)
     seam = np.concatenate([bps, np.nextafter(bps, math.inf), np.nextafter(bps, 0.0)])
     rng = np.random.default_rng(5)
-    x = np.exp(rng.uniform(math.log(0.05), math.log(50.0), 2 * n + 9))
+    x = np.exp(rng.uniform(math.log(bps[0]), math.log(bps[-1]), 2 * n + 9))
     x[n - seam.size // 2 : n - seam.size // 2 + seam.size] = seam
-    assert_same_as_masked(f, x)
+    outer = np.exp(rng.uniform(math.log(0.05), math.log(50.0), 1000))
+    assert_same_as_masked(f, np.concatenate([x, outer]))
 
 
 def test_evaluate_many_shapes(ladder60):
@@ -282,6 +258,70 @@ def test_evaluate_many_touches_only_nonempty_pieces(ladder60, monkeypatch):
     got = v.evaluate_many(x)
     assert sorted(calls) == [1, 2, 2]
     assert np.array_equal(got, want)
+
+
+def band_inputs(f: PiecewisePowerSum) -> dict[str, np.ndarray]:
+    """Points of f's first piece only, of its last only, strictly inside
+    (bps[0], bps[-1]] only, and the band's two ends with their neighbours."""
+    lo, hi = f.breakpoints[0], f.breakpoints[-1]
+    ends = np.array([lo, hi])
+    return {
+        "first": np.geomspace(lo / 100.0, lo, 301),
+        "last": np.geomspace(np.nextafter(hi, math.inf), hi * 100.0, 301),
+        "inside": np.geomspace(np.nextafter(lo, math.inf), hi, 301)[::-1],
+        "ends": np.concatenate(
+            [ends, np.nextafter(ends, 0.0), np.nextafter(ends, math.inf), ends[::-1]]
+        ),
+    }
+
+
+@pytest.mark.parametrize("which", ["first", "last", "inside", "ends"])
+def test_evaluate_many_band_groups(ladder60, which):
+    rng = np.random.default_rng(31)
+    funcs = [ladder60.values[19], ladder60.values[-1], ladder60.h_funcs[-1]]
+    funcs += [random_power_sum(rng, max_breakpoints=6) for _ in range(10)]
+    for f in funcs:
+        if f.breakpoints:
+            assert_same_as_masked(f, band_inputs(f)[which])
+
+
+@pytest.fixture
+def argsort_sizes(monkeypatch):
+    """Sizes of the arrays numpy.argsort is called on, in order."""
+    sizes = []
+    argsort = np.argsort
+
+    def counting_argsort(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    return sizes
+
+
+@pytest.mark.parametrize("n_bp", [0, 1])
+def test_evaluate_many_without_inner_pieces(n_bp, argsort_sizes):
+    # No point lies inside the band, so nothing is sorted.
+    pieces = [(PowerTerm(1.5, 0.5), PowerTerm(-2.0, -1.0, 2)), (PowerTerm(3.0, 1.0),)]
+    f = PiecewisePowerSum((2.0,)[:n_bp], pieces[: n_bp + 1])
+    near = [2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, math.inf)]
+    assert_same_as_masked(f, np.concatenate([np.geomspace(0.01, 100.0, 101), near]))
+    assert argsort_sizes == []
+
+
+def test_evaluate_many_sorts_only_inside_points(ladder60, argsort_sizes):
+    # The piece-index sort sees exactly the points strictly inside
+    # (bps[0], bps[-1]], and is not called when there are none.
+    f = ladder60.values[-1]
+    inputs = band_inputs(f)
+    for which, n_inside in (("first", 0), ("last", 0), ("inside", 301), ("ends", 4)):
+        argsort_sizes.clear()
+        assert_same_as_masked(f, inputs[which])
+        assert argsort_sizes == ([n_inside] if n_inside else [])
+    argsort_sizes.clear()
+    x = np.concatenate([inputs["first"], inputs["inside"][:7], inputs["last"]])
+    assert_same_as_masked(f, x)
+    assert argsort_sizes == [7]
 
 
 def test_scalar_kernel_matches_seed_on_ladder60(ladder60):
